@@ -1,4 +1,5 @@
 module Graph = Graphlib.Graph
+module Ba = Bigarray.Array1
 module Part = Shortcuts.Part
 module Sc = Shortcuts.Shortcut
 
@@ -7,12 +8,33 @@ type result = {
   mins : (float * int) option array;
 }
 
-type node_state = {
-  best : (int, float * int) Hashtbl.t;  (* part -> current min *)
-  queues : (int, int Queue.t) Hashtbl.t;  (* neighbor -> pending part ids *)
-  queued : (int * int, unit) Hashtbl.t;
-}
+let lt (k : float) (d : int) (k' : float) (d' : int) =
+  k < k' || (k = k' && d < d')
 
+(* Part-wise minimum by flooding over per-call flat tables (DESIGN.md
+   section 17).  A channel is a (node, part, neighbour) triple — node v may
+   relay part p's minimum to w because vw is one of p's shortcut edges or
+   one of p's induced edges.  Built once per call, in linear time:
+
+   - slots: one per (node, part) pair, holding the best (key, data) seen;
+     a node's slots are contiguous and ascending in part id, so a received
+     part is found by binary search;
+   - channels: per slot, in relay order (reverse first-occurrence order),
+     each with a queued bit;
+   - links: one per (node, neighbour) pair that carries a channel, each
+     owning a FIFO ring of queued channel ids.  A channel is queued at most
+     once, so a ring never holds more entries than its link has channels,
+     which is the ring's capacity.
+
+   Send order is observable — fault drop rolls, the synchronizer's latency
+   draws and the trace's busiest-edge tie-break all follow it — and the
+   recorded experiment outputs fix it: every node sends over its links in
+   the order a per-node stdlib [Hashtbl] keyed by neighbour iterates them,
+   a link being inserted when its first part is queued.  That is by bucket
+   [Hashtbl.hash w land (b - 1)], the most recently inserted link first
+   within a bucket, with [b] starting at 16 and doubling as soon as more
+   than [2b] links are present.  [tbl] holds each node's present links in
+   that order. *)
 let minimum ?max_rounds ?trace ?faults sc ~values =
   let tree = sc.Sc.tree in
   let g = tree.Graphlib.Spanning.graph in
@@ -21,81 +43,206 @@ let minimum ?max_rounds ?trace ?faults sc ~values =
     ~attrs:[ ("n", Obs.Sink.Int n) ]
     "congest.aggregate.minimum"
   @@ fun () ->
-  let parts = sc.Sc.parts in
-  let part_of = parts.Part.part_of in
-  (* by_part.(v) : part -> neighbors usable for that part (shortcut edges of
-     the part plus the part's own induced edges); deduped while building so
-     [improve] touches each usable neighbor once *)
-  let by_part : (int, int list) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 4) in
-  let seen = Hashtbl.create 64 in
-  let allow v w p =
-    if not (Hashtbl.mem seen (v, w, p)) then begin
-      Hashtbl.replace seen (v, w, p) ();
-      let cur = Option.value (Hashtbl.find_opt by_part.(v) p) ~default:[] in
-      Hashtbl.replace by_part.(v) p (w :: cur)
-    end
+  let m = Graph.m g in
+  let part_of = sc.Sc.parts.Part.part_of in
+  let assigned = sc.Sc.assigned in
+  let nparts = Part.count sc.Sc.parts in
+  (* entries keyed by (node, part): one payload -1 entry per part member,
+     so its own slot exists, then the directed channels of every
+     (part, edge) grant in first-occurrence order — the part's shortcut
+     edges (deduped by [Shortcut.make]), then its induced edges not
+     already granted — with the channel's entry index as payload *)
+  let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 assigned in
+  let cap = n + (2 * (total + m)) in
+  let keys = Graphlib.Sort.ints cap and payload = Graphlib.Sort.ints cap in
+  let len = ref 0 in
+  let push v p x =
+    Ba.unsafe_set keys !len ((v * nparts) + p);
+    Ba.unsafe_set payload !len x;
+    incr len
   in
+  for v = 0 to n - 1 do
+    if part_of.(v) >= 0 then push v part_of.(v) (-1)
+  done;
+  let entry_w = Array.make (cap - n) 0 in
+  let nchan = ref 0 in
+  let grant p e =
+    let u = Graph.edge_u g e and v = Graph.edge_v g e in
+    entry_w.(!nchan) <- v;
+    push u p !nchan;
+    entry_w.(!nchan + 1) <- u;
+    push v p (!nchan + 1);
+    nchan := !nchan + 2
+  in
+  let granted_own = Array.make m false in
   Array.iteri
     (fun p edges ->
       Array.iter
         (fun e ->
-          let u, v = Graph.edge g e in
-          allow u v p;
-          allow v u p)
+          grant p e;
+          if part_of.(Graph.edge_u g e) = p && part_of.(Graph.edge_v g e) = p
+          then granted_own.(e) <- true)
         edges)
-    sc.Sc.assigned;
-  Graph.iter_edges g (fun _ u v ->
+    assigned;
+  Graph.iter_edges g (fun e u v ->
       let pu = part_of.(u) in
-      if pu >= 0 && pu = part_of.(v) then begin
-        allow u v pu;
-        allow v u pu
-      end);
-  let enqueue st w p =
-    if not (Hashtbl.mem st.queued (w, p)) then begin
-      Hashtbl.replace st.queued (w, p) ();
-      let q =
-        match Hashtbl.find_opt st.queues w with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.replace st.queues w q;
-            q
-      in
-      Queue.push p q
+      if pu >= 0 && pu = part_of.(v) && not granted_own.(e) then grant pu e);
+  let len = !len and nchan = !nchan in
+  Graphlib.Sort.sort_pairs ~len keys payload;
+  (* slots in key order; each slot's channels renumbered in reverse entry
+     order, the order [relay] walks them *)
+  let slot_lo = Array.make (n + 1) 0 in
+  let slot_part = Array.make len 0 in
+  let ch_lo = Array.make (len + 1) 0 in
+  let chan_w = Array.make nchan 0 in
+  let chan_slot = Array.make nchan 0 in
+  let nslots = ref 0 and first = ref 0 and nc = ref 0 in
+  for v = 0 to n - 1 do
+    slot_lo.(v) <- !nslots;
+    while !first < len && Ba.unsafe_get keys !first < (v + 1) * nparts do
+      let key = Ba.unsafe_get keys !first in
+      let stop = ref !first in
+      while !stop < len && Ba.unsafe_get keys !stop = key do
+        incr stop
+      done;
+      let s = !nslots in
+      slot_part.(s) <- key - (v * nparts);
+      ch_lo.(s) <- !nc;
+      for k = !stop - 1 downto !first do
+        let x = Ba.unsafe_get payload k in
+        if x >= 0 then begin
+          chan_w.(!nc) <- entry_w.(x);
+          chan_slot.(!nc) <- s;
+          incr nc
+        end
+      done;
+      first := !stop;
+      incr nslots
+    done
+  done;
+  let nslots = !nslots in
+  slot_lo.(n) <- nslots;
+  ch_lo.(nslots) <- nchan;
+  (* links: a node's channels are contiguous, so one stamp per neighbour
+     groups them; ring capacity = channels per link *)
+  let link_lo = Array.make (n + 1) 0 in
+  let chan_link = Array.make nchan 0 in
+  let link_nbr = Array.make nchan 0 in
+  let ring_lo = Array.make (nchan + 1) 0 in
+  let seen_by = Array.make n (-1) and link_of = Array.make n 0 in
+  let nlinks = ref 0 in
+  for v = 0 to n - 1 do
+    link_lo.(v) <- !nlinks;
+    for c = ch_lo.(slot_lo.(v)) to ch_lo.(slot_lo.(v + 1)) - 1 do
+      let w = chan_w.(c) in
+      if seen_by.(w) <> v then begin
+        seen_by.(w) <- v;
+        link_of.(w) <- !nlinks;
+        link_nbr.(!nlinks) <- w;
+        incr nlinks
+      end;
+      let l = link_of.(w) in
+      chan_link.(c) <- l;
+      ring_lo.(l + 1) <- ring_lo.(l + 1) + 1
+    done
+  done;
+  let nlinks = !nlinks in
+  link_lo.(n) <- nlinks;
+  for l = 1 to nlinks do
+    ring_lo.(l) <- ring_lo.(l) + ring_lo.(l - 1)
+  done;
+  let link_hash = Array.init nlinks (fun l -> Hashtbl.hash link_nbr.(l)) in
+  (* dynamic state *)
+  let best_key = Array.make nslots 0.0 in
+  let best_data = Array.make nslots 0 in
+  let has_best = Array.make nslots false in
+  let queued = Array.make nchan false in
+  let ring = Array.make nchan 0 in
+  let ring_head = Array.make nlinks 0 in
+  let ring_len = Array.make nlinks 0 in
+  let present = Array.make nlinks false in
+  let tbl = Array.make nlinks 0 in
+  let tbl_n = Array.make n 0 in
+  let tbl_b = Array.make n 16 in
+  let pending = Array.make n 0 in
+  let find_slot v p =
+    let lo = ref slot_lo.(v) and hi = ref slot_lo.(v + 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if slot_part.(mid) < p then lo := mid + 1 else hi := mid
+    done;
+    if !lo < slot_lo.(v + 1) && slot_part.(!lo) = p then !lo else -1
+  in
+  (* Hashtbl.replace of a new key: head of its bucket, then a resize when
+     the table outgrows 2b — a resize keeps each bucket's order, so it is
+     a stable partition on the new bucket bit *)
+  let insert_link v l =
+    present.(l) <- true;
+    let lo = link_lo.(v) and k = tbl_n.(v) and b = tbl_b.(v) in
+    let h = link_hash.(l) land (b - 1) in
+    let pos = ref lo in
+    while !pos < lo + k && link_hash.(tbl.(!pos)) land (b - 1) < h do
+      incr pos
+    done;
+    Array.blit tbl !pos tbl (!pos + 1) (lo + k - !pos);
+    tbl.(!pos) <- l;
+    let k = k + 1 in
+    tbl_n.(v) <- k;
+    if k > 2 * b then begin
+      let high = Array.make k 0 and nh = ref 0 and nl = ref lo in
+      for i = lo to lo + k - 1 do
+        let x = tbl.(i) in
+        if link_hash.(x) land b = 0 then begin
+          tbl.(!nl) <- x;
+          incr nl
+        end
+        else begin
+          high.(!nh) <- x;
+          incr nh
+        end
+      done;
+      Array.blit high 0 tbl !nl !nh;
+      tbl_b.(v) <- 2 * b
     end
   in
-  let improve st v p value =
-    let better =
-      match Hashtbl.find_opt st.best p with None -> true | Some cur -> value < cur
-    in
-    if better then begin
-      Hashtbl.replace st.best p value;
-      match Hashtbl.find_opt by_part.(v) p with
-      | Some nbrs -> List.iter (fun w -> enqueue st w p) nbrs
-      | None -> ()
-    end;
-    better
+  let enqueue v c =
+    if not queued.(c) then begin
+      queued.(c) <- true;
+      pending.(v) <- pending.(v) + 1;
+      let l = chan_link.(c) in
+      if not present.(l) then insert_link v l;
+      let size = ring_lo.(l + 1) - ring_lo.(l) in
+      let t = ring_head.(l) + ring_len.(l) in
+      ring.(ring_lo.(l) + if t >= size then t - size else t) <- c;
+      ring_len.(l) <- ring_len.(l) + 1
+    end
+  in
+  (* a slot improved: queue its part on every channel, in relay order *)
+  let relay v s =
+    for c = ch_lo.(s) to ch_lo.(s + 1) - 1 do
+      enqueue v c
+    done
+  in
+  let[@inline] improve v s key data =
+    if (not has_best.(s)) || lt key data best_key.(s) best_data.(s) then begin
+      has_best.(s) <- true;
+      best_key.(s) <- key;
+      best_data.(s) <- data;
+      relay v s
+    end
   in
   let send_buf = [| 0; 0; 0; 0 |] in
   let algo =
     {
       Network.init =
         (fun _ v ->
-          let st =
-            {
-              best = Hashtbl.create 4;
-              queues = Hashtbl.create 4;
-              queued = Hashtbl.create 4;
-            }
-          in
           let p = part_of.(v) in
-          (match (p, values.(v)) with
-          | p, Some value when p >= 0 -> ignore (improve st v p value)
+          (match values.(v) with
+          | Some (key, data) when p >= 0 -> improve v (find_slot v p) key data
           | _ -> ());
-          st);
+          v);
       step =
-        (fun ctx st ->
-          let v = Network.node ctx in
+        (fun ctx v ->
           (* receive *)
           for i = 0 to Network.inbox_size ctx - 1 do
             if Network.inbox_words ctx i <> 4 then
@@ -109,39 +256,45 @@ let minimum ?max_rounds ?trace ?faults sc ~values =
                 (Int64.shift_left (Int64.of_int hi) 32)
                 (Int64.of_int (lo land 0xFFFFFFFF))
             in
-            let key = Int64.float_of_bits bits in
-            ignore (improve st v p (key, data))
+            let s = find_slot v p in
+            if s >= 0 then improve v s (Int64.float_of_bits bits) data
           done;
-          (* send: one pending part per neighbor *)
-          Hashtbl.iter
-            (fun w q ->
-              if not (Queue.is_empty q) then begin
-                let p = Queue.pop q in
-                Hashtbl.remove st.queued (w, p);
-                match Hashtbl.find_opt st.best p with
-                | Some (key, data) ->
-                    let bits = Int64.bits_of_float key in
-                    let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
-                    let lo = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
-                    send_buf.(0) <- p;
-                    send_buf.(1) <- hi;
-                    send_buf.(2) <- lo;
-                    send_buf.(3) <- data;
-                    Network.send ctx w send_buf
-                | None -> ()
-              end)
-            st.queues;
-          st);
-      finished =
-        (fun st ->
-          Hashtbl.fold (fun _ q acc -> acc && Queue.is_empty q) st.queues true);
+          (* send: one pending part per link, in table order *)
+          let lo = link_lo.(v) in
+          for i = lo to lo + tbl_n.(v) - 1 do
+            let l = tbl.(i) in
+            let len = ring_len.(l) in
+            if len > 0 then begin
+              let h = ring_head.(l) in
+              let c = ring.(ring_lo.(l) + h) in
+              let next = h + 1 in
+              ring_head.(l) <-
+                (if next = ring_lo.(l + 1) - ring_lo.(l) then 0 else next);
+              ring_len.(l) <- len - 1;
+              queued.(c) <- false;
+              pending.(v) <- pending.(v) - 1;
+              let s = chan_slot.(c) in
+              let bits = Int64.bits_of_float best_key.(s) in
+              send_buf.(0) <- slot_part.(s);
+              send_buf.(1) <- Int64.to_int (Int64.shift_right_logical bits 32);
+              send_buf.(2) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+              send_buf.(3) <- best_data.(s);
+              Network.send ctx link_nbr.(l) send_buf
+            end
+          done;
+          v);
+      finished = (fun v -> pending.(v) = 0);
     }
   in
-  let states, stats = Network.run ?max_rounds ?trace ?faults g algo in
+  let _, stats = Network.run ?max_rounds ?trace ?faults g algo in
   let mins =
     Array.init n (fun v ->
         let p = part_of.(v) in
-        if p < 0 then None else Hashtbl.find_opt states.(v).best p)
+        if p < 0 then None
+        else
+          let s = find_slot v p in
+          if not has_best.(s) then None
+          else Some (best_key.(s), best_data.(s)))
   in
   { stats; mins }
 
@@ -154,7 +307,7 @@ let true_minimum parts ~values =
       let p = parts.Part.part_of.(v) in
       if p >= 0 then
         match (value, best.(p)) with
-        | Some x, Some y when y <= x -> ()
+        | Some (k, d), Some (k', d') when not (lt k d k' d') -> ()
         | Some x, _ -> best.(p) <- Some x
         | None, _ -> ())
     values;

@@ -15,6 +15,12 @@ type result = {
       (** per vertex: the minimum its own part converged to *)
 }
 
+val lt : float -> int -> float -> int -> bool
+(** [lt k d k' d'] is the order aggregation minimizes: [(k, d)] before
+    [(k', d')] lexicographically, keys compared as floats.  Equal to the
+    polymorphic [(k, d) < (k', d')] on (float * int) pairs, without
+    boxing either pair. *)
+
 val minimum :
   ?max_rounds:int ->
   ?trace:Trace.t ->

@@ -27,16 +27,22 @@ let fragments_of uf g =
   done;
   Part.of_list g (Hashtbl.fold (fun _ l acc -> l :: acc) buckets [])
 
-(* minimum-weight outgoing edge values per vertex, for the current fragments *)
+(* minimum-weight outgoing edge values per vertex, for the current
+   fragments, in the (weight, edge id) order of [Aggregate.lt] *)
 let mwoe_values g w uf =
   Array.init (Graph.n g) (fun v ->
-      let best = ref None in
-      Graph.iter_adj g v (fun u e ->
-          if not (Union_find.same uf v u) then
-            match !best with
-            | Some (bw, be) when (bw, be) <= (w.(e), e) -> ()
-            | _ -> best := Some (w.(e), e));
-      !best)
+      let bw = ref 0.0 and be = ref (-1) in
+      for i = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+        let e = Graph.adj_eid g i in
+        if
+          (not (Union_find.same uf v (Graph.adj_dst g i)))
+          && (!be < 0 || Aggregate.lt w.(e) e !bw !be)
+        then begin
+          bw := w.(e);
+          be := e
+        end
+      done;
+      if !be < 0 then None else Some (!bw, !be))
 
 let merge_phase g w uf mins parts mst_edges =
   (* each fragment adopts the minimum (weight, edge) its members agreed on *)
@@ -47,7 +53,7 @@ let merge_phase g w uf mins parts mst_edges =
       let p = parts.Part.part_of.(v) in
       if p >= 0 then
         match (m, chosen.(p)) with
-        | Some x, Some y when y <= x -> ()
+        | Some (k, d), Some (k', d') when not (Aggregate.lt k d k' d') -> ()
         | Some x, _ -> chosen.(p) <- Some x
         | None, _ -> ())
     mins;

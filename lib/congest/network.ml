@@ -309,22 +309,21 @@ let make_ctx ~bandwidth ~trace ~fstate ~hook g =
   in
   (* receiving side, ascending sender id: the inbox fill scans these
      end-to-start, so the indexed inbox comes out in descending sender
-     order (the delivery order every recorded experiment depends on) *)
-  let in_pairs =
-    Array.init n (fun v ->
-        let lo = Graph.adj_offset g v in
-        let a =
-          Array.init (Graph.degree g v) (fun i ->
-              let w = Graph.adj_dst g (lo + i) in
-              (w, dir_of (Graph.adj_eid g (lo + i)) w))
-        in
-        (* neighbor ids are unique per segment, so ordering on the id
-           alone is total and matches the old polymorphic pair order *)
-        Array.sort (fun (x, _) (y, _) -> Int.compare x y) a;
-        a)
-  in
-  let in_nbr = Array.map (Array.map fst) in_pairs in
-  let in_dir = Array.map (Array.map snd) in_pairs in
+     order (the delivery order every recorded experiment depends on).
+     One counting scatter over the senders in ascending id fills every
+     receiver's row already sorted. *)
+  let in_nbr = Array.init n (fun v -> Array.make (Graph.degree g v) 0) in
+  let in_dir = Array.init n (fun v -> Array.make (Graph.degree g v) 0) in
+  let fill = Array.make n 0 in
+  for u = 0 to n - 1 do
+    for i = Graph.adj_offset g u to Graph.adj_offset g (u + 1) - 1 do
+      let v = Graph.adj_dst g i in
+      let k = fill.(v) in
+      in_nbr.(v).(k) <- u;
+      in_dir.(v).(k) <- dir_of (Graph.adj_eid g i) u;
+      fill.(v) <- k + 1
+    done
+  done;
   let maxdeg = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 out_nbr in
   {
     g;

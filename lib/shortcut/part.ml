@@ -30,11 +30,16 @@ let build n parts_list =
     parts;
   { parts; part_of }
 
+(* the last error found wins.  [seen] doubles as the member stamp of the
+   part being checked, so G[P_i] connectivity is one traversal per part
+   over stamps and a shared stack: O(n + m) for the whole check *)
 let check g t =
   let n = Graph.n g in
   if Array.length t.part_of <> n then Error "part_of size mismatch"
   else begin
     let seen = Array.make n (-1) in
+    let visited = Array.make n (-1) in
+    let stack = Array.make n 0 in
     let ok = ref (Ok ()) in
     Array.iteri
       (fun i p ->
@@ -45,8 +50,26 @@ let check g t =
             seen.(v) <- i;
             if t.part_of.(v) <> i then ok := Error "part_of inconsistent")
           p;
-        if not (Traversal.is_connected_subset g (Array.to_list p)) then
-          ok := Error "disconnected part")
+        if Array.length p > 0 then begin
+          visited.(p.(0)) <- i;
+          stack.(0) <- p.(0);
+          let top = ref 1 and reached = ref 1 in
+          while !top > 0 do
+            decr top;
+            let v = stack.(!top) in
+            for j = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+              let u = Graph.adj_dst g j in
+              if seen.(u) = i && visited.(u) <> i then begin
+                visited.(u) <- i;
+                stack.(!top) <- u;
+                incr top;
+                incr reached
+              end
+            done
+          done;
+          (* a vertex listed twice is reached once but counted twice *)
+          if !reached <> Array.length p then ok := Error "disconnected part"
+        end)
       t.parts;
     !ok
   end
