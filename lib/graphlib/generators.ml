@@ -374,6 +374,17 @@ let m_rmat : (int * int * int * float * float * float, Graph.t) Memo.t =
         |> float b |> float c))
   |> Memo.with_bytes_hint Graph.heap_bytes
 
+(* One level's quadrant as the two-bit int [(bu lsl 1) lor bv], for a draw
+   [r] against thresholds ta <= tab <= tabc (rounded sums of non-negative
+   probabilities are monotone).  The if-chain
+     r < ta -> (0,0) | r < tab -> (0,1) | r < tabc -> (1,0) | else (1,1)
+   is bu = [r >= tab], bv = [r >= ta] xor [r >= tab] xor [r >= tabc]:
+   the same three comparisons, so the bits agree for every r, but without
+   the unpredictable 57/19/19/5 branch. *)
+let[@inline] quadrant (r : float) ~ta ~tab ~tabc =
+  let bu = Bool.to_int (r >= tab) in
+  (bu lsl 1) lor (Bool.to_int (r >= ta) lxor bu lxor Bool.to_int (r >= tabc))
+
 (* the classic recursive-matrix generator: each of [edge_factor * 2^scale]
    raw edges picks one quadrant per scale level with probabilities
    (a, b, c, 1-a-b-c), descending into the adjacency matrix.  Skewed
@@ -384,20 +395,15 @@ let rmat_build_boxed st ~scale ~edge_factor ~a ~b ~c =
   let n = 1 lsl scale in
   let target = edge_factor * n in
   let bld = Graph.Builder.create ~edges_hint:target n in
+  let ta = a and tab = a +. b and tabc = a +. b +. c in
   let u = ref 0 and v = ref 0 in
   for _ = 1 to target do
     u := 0;
     v := 0;
     for _ = 1 to scale do
-      let r = Random.State.float st 1.0 in
-      let bu, bv =
-        if r < a then (0, 0)
-        else if r < a +. b then (0, 1)
-        else if r < a +. b +. c then (1, 0)
-        else (1, 1)
-      in
-      u := (!u lsl 1) lor bu;
-      v := (!v lsl 1) lor bv
+      let q = quadrant (Random.State.float st 1.0) ~ta ~tab ~tabc in
+      u := (!u lsl 1) lor (q lsr 1);
+      v := (!v lsl 1) lor (q land 1)
     done;
     if !u <> !v then Graph.Builder.add_edge bld !u !v
   done;
@@ -425,15 +431,9 @@ let rmat_build_fast st ~scale ~edge_factor ~a ~b ~c =
     u := 0;
     v := 0;
     for _ = 1 to scale do
-      let r = float_of_int (Fastrand.draw53 st) in
-      let bu, bv =
-        if r < ta then (0, 0)
-        else if r < tab then (0, 1)
-        else if r < tabc then (1, 0)
-        else (1, 1)
-      in
-      u := (!u lsl 1) lor bu;
-      v := (!v lsl 1) lor bv
+      let q = quadrant (float_of_int (Fastrand.draw53 st)) ~ta ~tab ~tabc in
+      u := (!u lsl 1) lor (q lsr 1);
+      v := (!v lsl 1) lor (q land 1)
     done;
     if !u <> !v then Graph.Builder.add_edge bld !u !v
   done;

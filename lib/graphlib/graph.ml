@@ -113,7 +113,7 @@ let[@inline] other_endpoint g e v =
 (* binary search over the per-segment sorted permutation: srt positions
    seg.(u)..seg.(u+1)-1 list u's incident pairs by ascending neighbor id,
    and neighbor ids are unique within a segment (no parallel edges), so
-   the result does not depend on the sort algorithm that built srt *)
+   srt is unique and the result does not depend on how seal built it *)
 let find_edge_id g u v =
   let lo = ref (Ba.get g.seg u) and hi = ref (Ba.unsafe_get g.seg (u + 1)) in
   let res = ref (-1) in
@@ -155,49 +155,6 @@ let fingerprint g =
     h
   end
 
-(* -- per-segment sort for [srt]: iterative heapsort on a slice of the
-   permutation, keyed by dst.(srt.(i)).  Heapsort keeps the worst case
-   O(d log d) for high-degree hubs (RMAT, complete graphs) without
-   recursion or allocation; keys are unique per segment, so the output is
-   the unique sorted order. -- *)
-
-let sort_segment srt dst lo hi =
-  let len = hi - lo in
-  if len > 1 then begin
-    let key i = Ba.unsafe_get dst (Ba.unsafe_get srt (lo + i)) in
-    let swap i j =
-      let t = Ba.unsafe_get srt (lo + i) in
-      Ba.unsafe_set srt (lo + i) (Ba.unsafe_get srt (lo + j));
-      Ba.unsafe_set srt (lo + j) t
-    in
-    let sift_down root last =
-      let i = ref root in
-      let walking = ref true in
-      while !walking do
-        let child = (2 * !i) + 1 in
-        if child > last then walking := false
-        else begin
-          let child =
-            if child < last && key child < key (child + 1) then child + 1
-            else child
-          in
-          if key !i < key child then begin
-            swap !i child;
-            i := child
-          end
-          else walking := false
-        end
-      done
-    in
-    for root = (len - 2) / 2 downto 0 do
-      sift_down root (len - 1)
-    done;
-    for last = len - 1 downto 1 do
-      swap 0 last;
-      sift_down 0 (last - 1)
-    done
-  end
-
 (* -- construction -- *)
 
 let seal n m esrc edst =
@@ -213,12 +170,16 @@ let seal n m esrc edst =
     Ba.unsafe_set seg v (Ba.unsafe_get seg v + Ba.unsafe_get seg (v - 1))
   done;
   (* fill pass in ascending edge id, source endpoint first: reproduces the
-     historical edge-insertion adjacency order exactly *)
-  let dst = ints (2 * m) and eid = ints (2 * m) in
+     historical edge-insertion adjacency order exactly.  twin.(p) is the
+     position of p's edge in the other endpoint's segment. *)
+  let dst = ints (2 * m) and eid = ints (2 * m) and twin = ints (2 * m) in
   let cursor = ints (max 1 n) in
-  for v = 0 to n - 1 do
-    Ba.unsafe_set cursor v (Ba.unsafe_get seg v)
-  done;
+  let reset_cursor () =
+    for v = 0 to n - 1 do
+      Ba.unsafe_set cursor v (Ba.unsafe_get seg v)
+    done
+  in
+  reset_cursor ();
   for e = 0 to m - 1 do
     let u = Ba.unsafe_get esrc e and v = Ba.unsafe_get edst e in
     let pu = Ba.unsafe_get cursor u in
@@ -228,49 +189,25 @@ let seal n m esrc edst =
     let pv = Ba.unsafe_get cursor v in
     Ba.unsafe_set dst pv u;
     Ba.unsafe_set eid pv e;
-    Ba.unsafe_set cursor v (pv + 1)
+    Ba.unsafe_set cursor v (pv + 1);
+    Ba.unsafe_set twin pu pv;
+    Ba.unsafe_set twin pv pu
   done;
+  (* srt by transposition: walking owners v ascending, each position p of
+     v hands its twin to segment dst.(p).  Segment w thus receives the
+     positions whose neighbor is v in ascending v, and neighbor ids are
+     unique per segment (the builder dedups), so every segment comes out
+     as the unique sorted permutation — in O(n + m), at every size *)
   let srt = ints (2 * m) in
-  if 2 * m <= 1 lsl 16 then begin
-    (* small graphs: identity permutation + per-segment heapsort *)
-    for p = 0 to (2 * m) - 1 do
-      Ba.unsafe_set srt p p
-    done;
-    for v = 0 to n - 1 do
-      sort_segment srt dst (Ba.unsafe_get seg v) (Ba.unsafe_get seg (v + 1))
+  reset_cursor ();
+  for v = 0 to n - 1 do
+    for p = Ba.unsafe_get seg v to Ba.unsafe_get seg (v + 1) - 1 do
+      let w = Ba.unsafe_get dst p in
+      let c = Ba.unsafe_get cursor w in
+      Ba.unsafe_set srt c (Ba.unsafe_get twin p);
+      Ba.unsafe_set cursor w (c + 1)
     done
-  end
-  else begin
-    (* scale path: one global stable radix sort of positions by neighbor
-       id, then a stable counting scatter by segment owner (reusing seg as
-       the histogram via cursor).  Stability keeps positions of each
-       segment in ascending-dst order after the scatter, and neighbor ids
-       are unique per segment, so the result is the same unique sorted
-       permutation the heapsort produces — at O(2m) passes instead of
-       O(d log d) per hub segment. *)
-    let keys = ints (2 * m) and pos = ints (2 * m) in
-    Ba.blit dst keys;
-    for p = 0 to (2 * m) - 1 do
-      Ba.unsafe_set pos p p
-    done;
-    Sort.sort_pairs keys pos;
-    let owner = ints (2 * m) in
-    for v = 0 to n - 1 do
-      for p = Ba.unsafe_get seg v to Ba.unsafe_get seg (v + 1) - 1 do
-        Ba.unsafe_set owner p v
-      done
-    done;
-    for v = 0 to n - 1 do
-      Ba.unsafe_set cursor v (Ba.unsafe_get seg v)
-    done;
-    for i = 0 to (2 * m) - 1 do
-      let p = Ba.unsafe_get pos i in
-      let v = Ba.unsafe_get owner p in
-      let c = Ba.unsafe_get cursor v in
-      Ba.unsafe_set srt c p;
-      Ba.unsafe_set cursor v (c + 1)
-    done
-  end;
+  done;
   { n; m; esrc; edst; seg; dst; eid; srt; fp = 0L }
 
 module Builder = struct

@@ -74,6 +74,69 @@ let test_adjacency_agrees () =
       done)
     (families ())
 
+(* Graphs too large for the n^2 sweep below: a hub segment of more than
+   2^15 positions and a graph with 2m > 2^16 (the sizes where seal once
+   switched sort paths), and the benchmark's raw grid stream (every edge
+   in both orientations, plus self-loops the builder drops). *)
+let big_families () =
+  let star =
+    let leaves = 40_000 in
+    let b = Graph.Builder.create (leaves + 1) in
+    (* leaves in scrambled order and both orientations, so the hub's
+       insertion order is far from sorted *)
+    for i = 0 to leaves - 1 do
+      let leaf = 1 + (i * 7919 mod leaves) in
+      if i land 1 = 0 then Graph.Builder.add_edge b 0 leaf
+      else Graph.Builder.add_edge b leaf 0
+    done;
+    Graph.Builder.build b
+  in
+  let raw_grid w h =
+    let b = Graph.Builder.create (w * h) in
+    for v = 0 to (w * h) - 1 do
+      Graph.Builder.add_edge b v v;
+      if (v mod w) + 1 < w then begin
+        Graph.Builder.add_edge b v (v + 1);
+        Graph.Builder.add_edge b (v + 1) v
+      end;
+      if v + w < w * h then begin
+        Graph.Builder.add_edge b v (v + w);
+        Graph.Builder.add_edge b (v + w) v
+      end
+    done;
+    Graph.Builder.build b
+  in
+  [
+    ("star-40000", star);
+    ("rmat-s14", Generators.rmat ~seed:17 ~scale:14 ~edge_factor:8 ());
+    ("raw-grid-90x90", raw_grid 90 90);
+  ]
+
+(* find_edge_id against a linear iter_adj scan of each vertex: every
+   neighbor, the absent ids next to each neighbor id, and 0 and n-1 *)
+let check_lookups_by_scan name g =
+  let n = Graph.n g in
+  let scan = Array.make n (-1) in
+  for u = 0 to n - 1 do
+    Graph.iter_adj g u (fun w e -> scan.(w) <- e);
+    let query v =
+      if v >= 0 && v < n then begin
+        let got = Graph.find_edge_id g u v in
+        if got <> scan.(v) then
+          check_int
+            (Printf.sprintf "%s: find_edge_id %d %d" name u v)
+            scan.(v) got
+      end
+    in
+    query 0;
+    query (n - 1);
+    Graph.iter_adj g u (fun w _ ->
+        query (w - 1);
+        query w;
+        query (w + 1));
+    Graph.iter_adj g u (fun w _ -> scan.(w) <- -1)
+  done
+
 let test_edge_lookup_agrees () =
   List.iter
     (fun (name, g) ->
@@ -101,7 +164,14 @@ let test_edge_lookup_agrees () =
                 (Graph.other_endpoint g e u)
         done
       done)
-    (families ())
+    (families ());
+  let big = big_families () in
+  let big_g name = List.assoc name big in
+  check_int "star hub segment" 40_000 (Graph.degree (big_g "star-40000") 0);
+  check "rmat-s14: 2m > 2^16" true (2 * Graph.m (big_g "rmat-s14") > 1 lsl 16);
+  check_int "raw grid dedups to the 90x90 grid" (2 * 90 * 89)
+    (Graph.m (big_g "raw-grid-90x90"));
+  List.iter (fun (name, g) -> check_lookups_by_scan name g) big
 
 (* ---------- traversal orders ---------- *)
 

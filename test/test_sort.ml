@@ -4,8 +4,8 @@
    bitset must behave like a set, Boruvka must return the identical
    unique forest as Kruskal across every CSR test family, the flat
    BFS/DFS worklists must reproduce the Queue-reference orders, the
-   Fastrand draw must replay the stdlib stream, and the radix seal path
-   (graphs past the heapsort cutoff) must index edges correctly. *)
+   Fastrand draw must replay the stdlib stream, and seal must index the
+   edges of a large graph correctly. *)
 
 open Graphlib
 module Ba = Bigarray.Array1
@@ -338,12 +338,11 @@ let test_fastrand_stream () =
          (float_of_int (Fastrand.draw53 b) *. 0x1.p-53))
   end
 
-(* ---------- radix seal path on a big graph ---------- *)
+(* ---------- seal on a big graph ---------- *)
 
 let test_big_graph_seal () =
-  (* 200x200 grid: 2m = 318400 > 2^16, so seal takes the radix path
-     rather than per-segment heapsort; edge indexing must still agree
-     with a linear scan of the neighbor arrays *)
+  (* 200x200 grid (2m = 318400): edge indexing must agree with a linear
+     scan of the neighbor arrays *)
   let g = (Generators.grid 200 200).Generators.graph in
   let n = Graph.n g in
   check_int "grid vertices" 40000 n;
