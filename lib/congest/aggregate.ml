@@ -321,7 +321,7 @@ let verify sc ~values result =
   Array.iteri
     (fun v e ->
       match (e, result.mins.(v)) with
-      | Some x, Some y when x = y -> ()
+      | Some (kx, dx), Some (ky, dy) when kx = ky && dx = dy -> ()
       | None, _ -> ()
       | _ -> ok := false)
     expected;
@@ -406,16 +406,15 @@ let schedule messages =
   Hashtbl.iter
     (fun key (src, dst, deps) ->
       incr pending;
-      let live = List.filter (Hashtbl.mem messages) deps in
-      if live = [] then push_ready key (src, dst)
-      else begin
-        Hashtbl.replace deps_left key (List.length live);
-        List.iter
-          (fun d ->
-            Hashtbl.replace dependants d
-              (key :: Option.value (Hashtbl.find_opt dependants d) ~default:[]))
-          live
-      end)
+      match List.filter (Hashtbl.mem messages) deps with
+      | [] -> push_ready key (src, dst)
+      | live ->
+          Hashtbl.replace deps_left key (List.length live);
+          List.iter
+            (fun d ->
+              Hashtbl.replace dependants d
+                (key :: Option.value (Hashtbl.find_opt dependants d) ~default:[]))
+            live)
     messages;
   let rounds = ref 0 in
   while !pending > 0 do

@@ -67,7 +67,8 @@ let to_parts g (result : result) =
   for v = n - 1 downto 0 do
     if result.owner.(v) >= 0 then buckets.(result.owner.(v)) <- v :: buckets.(result.owner.(v))
   done;
-  Shortcuts.Part.of_list g (Array.to_list buckets |> List.filter (( <> ) []))
+  Shortcuts.Part.of_list g
+    (Array.to_list buckets |> List.filter (function [] -> false | _ :: _ -> true))
 
 let verify g ~seeds (result : result) =
   let reference, dist = Graphlib.Traversal.multi_source_bfs g seeds in

@@ -102,7 +102,7 @@ let check t =
   let g = t.graph in
   let n = Graph.n g in
   let ok = ref (Ok ()) in
-  let fail msg = if !ok = Ok () then ok := Error msg in
+  let fail msg = match !ok with Ok () -> ok := Error msg | Error _ -> () in
   if t.root < 0 || t.root >= n then fail "root out of range";
   if t.parent.(t.root) <> -1 then fail "root has a parent";
   for v = 0 to n - 1 do
@@ -133,116 +133,181 @@ let check t =
    in the order), and swapping strategies can never change an experiment's
    output. *)
 
-let has_negative w m =
-  let neg = ref false in
-  for e = 0 to m - 1 do
-    if w.(e) < 0.0 then neg := true
-  done;
-  !neg
+module Ba = Bigarray.Array1
 
-(* ascending (weight, id) edge ids.  Fast path: weights >= 0 map through
-   [Sort.float_key] into unsigned-63 radix order, payloads are edge ids,
-   and radix stability IS the id tie-break.  Rare negative weights fall
-   back to a monomorphic comparison sort with the same order. *)
-let sorted_edge_ids g w =
-  let m = Graph.m g in
-  if has_negative w m then begin
-    let ids = Array.init m (fun i -> i) in
+(* The entry check of both strategies, one O(m) pass.  A NaN has no place
+   in the (weight, id) order, and the loops below read weights without
+   bounds checks, so a short array is refused here.  Returns whether some
+   weight is negative, which routes [sort_by_weight] to its fallback. *)
+let check_weights fn w m =
+  let len = Array.length w in
+  if len < m then
+    invalid_arg (Printf.sprintf "Spanning.%s: %d weights for %d edges" fn len m);
+  let negative = ref false in
+  for e = 0 to m - 1 do
+    let x = Array.unsafe_get w e in
+    if Float.is_nan x then
+      invalid_arg (Printf.sprintf "Spanning.%s: NaN weight on edge %d" fn e);
+    if x < 0.0 then negative := true
+  done;
+  !negative
+
+(* Sorts the edge ids [ids.{0 .. len-1}], given in ascending id order,
+   into ascending (weight, id) order.  Weights >= 0 map through
+   [Sort.float_key] into unsigned-63 radix order (both zeros get key 0),
+   and the radix sort's stability over the ascending input IS the id
+   tie-break.  Negative weights fall back to a monomorphic comparison
+   sort with the same order. *)
+let sort_by_weight ~negative w (ids : Sort.int_bigarray) len =
+  if negative then begin
+    let a = Array.init len (fun i -> Ba.unsafe_get ids i) in
     Array.sort
       (fun a b ->
         let c = Float.compare w.(a) w.(b) in
         if c <> 0 then c else Int.compare a b)
-      ids;
-    ids
+      a;
+    Array.iteri (fun i e -> Ba.unsafe_set ids i e) a
   end
   else begin
-    let keys = Sort.ints (max 1 m) and ids = Sort.ints (max 1 m) in
-    for e = 0 to m - 1 do
-      Bigarray.Array1.unsafe_set keys e (Sort.float_key w.(e));
-      Bigarray.Array1.unsafe_set ids e e
+    let keys = Sort.ints (max 1 len) in
+    for i = 0 to len - 1 do
+      Ba.unsafe_set keys i (Sort.float_key (Array.unsafe_get w (Ba.unsafe_get ids i)))
     done;
-    Sort.sort_pairs ~len:m keys ids;
-    Array.init m (fun i -> Bigarray.Array1.unsafe_get ids i)
+    Sort.sort_pairs ~len keys ids
   end
+
+let list_of_prefix (ids : Sort.int_bigarray) len =
+  let acc = ref [] in
+  for i = len - 1 downto 0 do
+    acc := Ba.unsafe_get ids i :: !acc
+  done;
+  !acc
 
 let kruskal g w =
-  let ids = sorted_edge_ids g w in
+  let m = Graph.m g in
+  let negative = check_weights "kruskal" w m in
+  let ids = Sort.ints (max 1 m) in
+  for e = 0 to m - 1 do
+    Ba.unsafe_set ids e e
+  done;
+  sort_by_weight ~negative w ids m;
   let uf = Union_find.create (Graph.n g) in
-  let acc = ref [] in
-  Array.iter
-    (fun e ->
-      let u, v = Graph.edge g e in
-      if Union_find.union uf u v then acc := e :: !acc)
-    ids;
-  List.rev !acc
+  (* accepted edges are compacted into the prefix of [ids] *)
+  let accepted = ref 0 in
+  for i = 0 to m - 1 do
+    let e = Ba.unsafe_get ids i in
+    if Union_find.union uf (Graph.edge_u g e) (Graph.edge_v g e) then begin
+      Ba.unsafe_set ids !accepted e;
+      incr accepted
+    end
+  done;
+  list_of_prefix ids !accepted
 
-(* Sort-free Boruvka over the flat edge list: each round scans the still-
-   live edges once, records per-component minimum (weight, id) edges, then
-   contracts them through the union-find.  The live list shrinks
-   geometrically (internal edges are filtered in place during the scan),
-   so total work is O(m alpha(n)) per round over a shrinking m — no
-   global sort, which wins when the edge list no longer fits in cache. *)
+(* Boruvka over compact component ids.  The k live components are
+   numbered 0 .. k-1 and [label] maps every vertex to its component's
+   number, so a round's scan reads two labels per live edge and calls no
+   [find]: it drops the edges inside one component, compacts the live
+   list in place, and keeps each component's minimum (weight, id) edge in
+   k-sized arrays.  A private union-find over the k numbers then joins
+   the <= k chosen edges and hands out the next round's numbers.  A
+   component left without a live edge is final and drops out of the
+   numbering; every other one merges, so k at least halves per round.
+   The forest is marked in a byte mask, read back in ascending id order
+   and radix-sorted by weight ([sort_by_weight]). *)
 let boruvka g w =
   let n = Graph.n g and m = Graph.m g in
-  if m = 0 then []
-  else begin
-    let uf = Union_find.create n in
-    (* better e1 e2: e1 strictly precedes e2 in (weight, id) order *)
-    let better e1 e2 = w.(e1) < w.(e2) || (w.(e1) = w.(e2) && e1 < e2) in
-    let live = Array.init m (fun i -> i) in
-    let live_len = ref m in
-    let best = Array.make n (-1) in
-    let touched = Array.make n 0 in
-    let out = Array.make (min m (max 1 (n - 1))) (-1) in
-    let out_len = ref 0 in
-    let progress = ref true in
-    while !live_len > 0 && !progress do
-      let ntouched = ref 0 in
-      let kept = ref 0 in
-      for i = 0 to !live_len - 1 do
-        let e = live.(i) in
-        let ru = Union_find.find uf (Graph.edge_u g e) in
-        let rv = Union_find.find uf (Graph.edge_v g e) in
-        if ru <> rv then begin
-          live.(!kept) <- e;
-          incr kept;
-          (if best.(ru) < 0 then begin
-             touched.(!ntouched) <- ru;
-             incr ntouched;
-             best.(ru) <- e
-           end
-           else if better e best.(ru) then best.(ru) <- e);
-          if best.(rv) < 0 then begin
-            touched.(!ntouched) <- rv;
-            incr ntouched;
-            best.(rv) <- e
-          end
-          else if better e best.(rv) then best.(rv) <- e
-        end
-      done;
-      live_len := !kept;
-      progress := !ntouched > 0;
-      for i = 0 to !ntouched - 1 do
-        let r = touched.(i) in
-        let e = best.(r) in
-        best.(r) <- -1;
-        (* a mutual-minimum edge is picked by both its components; the
-           second union is a no-op *)
-        if Union_find.union uf (Graph.edge_u g e) (Graph.edge_v g e) then begin
-          out.(!out_len) <- e;
-          incr out_len
-        end
-      done
+  let negative = check_weights "boruvka" w m in
+  let label = Array.init n (fun v -> v) in
+  let live = Array.init m (fun e -> e) in
+  let live_len = ref m in
+  let k = ref n in
+  let best = Array.make n max_int and best_w = Array.make n infinity in
+  let parent = Array.make n 0 in
+  let in_forest = Bytes.make m '\000' in
+  let forest_size = ref 0 in
+  (* path halving; roots are the least number of their set *)
+  let find c =
+    let c = ref c in
+    while parent.(!c) <> !c do
+      let gp = parent.(parent.(!c)) in
+      parent.(!c) <- gp;
+      c := gp
     done;
-    (* normalize to the same ascending (weight, id) order kruskal emits *)
-    let res = Array.sub out 0 !out_len in
-    Array.sort
-      (fun a b ->
-        let c = Float.compare w.(a) w.(b) in
-        if c <> 0 then c else Int.compare a b)
-      res;
-    Array.to_list res
-  end
+    !c
+  in
+  while !live_len > 0 && !k > 1 do
+    let k0 = !k in
+    Array.fill best 0 k0 max_int;
+    Array.fill best_w 0 k0 infinity;
+    let kept = ref 0 in
+    for i = 0 to !live_len - 1 do
+      let e = Array.unsafe_get live i in
+      let cu = Array.unsafe_get label (Graph.edge_u g e)
+      and cv = Array.unsafe_get label (Graph.edge_v g e) in
+      if cu <> cv then begin
+        Array.unsafe_set live !kept e;
+        incr kept;
+        let we = Array.unsafe_get w e in
+        let bu = Array.unsafe_get best_w cu in
+        if we < bu || (we = bu && e < Array.unsafe_get best cu) then begin
+          Array.unsafe_set best_w cu we;
+          Array.unsafe_set best cu e
+        end;
+        let bv = Array.unsafe_get best_w cv in
+        if we < bv || (we = bv && e < Array.unsafe_get best cv) then begin
+          Array.unsafe_set best_w cv we;
+          Array.unsafe_set best cv e
+        end
+      end
+    done;
+    live_len := !kept;
+    for c = 0 to k0 - 1 do
+      parent.(c) <- c
+    done;
+    for c = 0 to k0 - 1 do
+      let e = best.(c) in
+      if e < max_int then begin
+        (* a mutual-minimum edge is chosen by both of its components; the
+           second time round they are already joined *)
+        let a = find label.(Graph.edge_u g e) and b = find label.(Graph.edge_v g e) in
+        if a <> b then begin
+          if a < b then parent.(b) <- a else parent.(a) <- b;
+          Bytes.unsafe_set in_forest e '\001';
+          incr forest_size
+        end
+      end
+    done;
+    (* renumber in ascending order of each merged set's least number, a
+       root before the rest of its set; [best] is spent and becomes the
+       map from old numbers to new ones, -1 for final components *)
+    let k1 = ref 0 in
+    for c = 0 to k0 - 1 do
+      if best.(c) = max_int then best.(c) <- -1
+      else begin
+        let r = find c in
+        if r = c then begin
+          best.(c) <- !k1;
+          incr k1
+        end
+        else best.(c) <- best.(r)
+      end
+    done;
+    for v = 0 to n - 1 do
+      let c = label.(v) in
+      if c >= 0 then label.(v) <- best.(c)
+    done;
+    k := !k1
+  done;
+  let ids = Sort.ints (max 1 !forest_size) in
+  let j = ref 0 in
+  for e = 0 to m - 1 do
+    if Bytes.unsafe_get in_forest e <> '\000' then begin
+      Ba.unsafe_set ids !j e;
+      incr j
+    end
+  done;
+  sort_by_weight ~negative w ids !forest_size;
+  list_of_prefix ids !forest_size
 
 type strategy = Kruskal | Boruvka
 

@@ -48,6 +48,13 @@ val check : tree -> (unit, string) result
 
 (** {1 Minimum spanning trees} *)
 
+(** Both strategies below share one weight contract: [w] holds at least
+    [Graph.m g] entries, indexed by edge id (extra entries are ignored),
+    none of them NaN.  Every other float is allowed: the infinities,
+    negative weights, and [-0.0], which ties with [0.0].
+    @raise Invalid_argument naming the function and the two lengths when
+    [w] is shorter than [m], or naming the first NaN edge id. *)
+
 val kruskal : Graph.t -> Graph.weights -> int list
 (** Edge ids of the minimum spanning forest under (weight, edge id)
     order — ties break on the lower edge id, making the forest unique
@@ -57,10 +64,11 @@ val kruskal : Graph.t -> Graph.weights -> int list
 
 val boruvka : Graph.t -> Graph.weights -> int list
 (** The same unique minimum spanning forest as [kruskal] (identical edge
-    list), computed sort-free: per-component minimum-edge scans over a
-    geometrically shrinking live-edge list, contracted through a
-    path-halving union-find.  Wins at scale where the global edge sort
-    no longer fits in cache. *)
+    list), computed without sorting the edges: each round is one pass
+    over the live edge ids that reads both endpoints' compact component
+    numbers, drops edges inside a component and keeps each component's
+    minimum (weight, id) edge; only the chosen edges are contracted.
+    The forest alone is then radix-sorted into [kruskal]'s order. *)
 
 type strategy = Kruskal | Boruvka
 

@@ -2,8 +2,11 @@
    were before aggregation moved to flat tables: the hashtable-per-node
    [minimum] (whose per-node send order the flat version must reproduce),
    the Borůvka loop on top of it with its polymorphic tuple compares,
-   and the per-part [Part.check].  Test code only; nothing in lib/ calls
-   them. *)
+   and the per-part [Part.check]; and the sequential MST kernels as they
+   were before Borůvka moved to compact component ids ([Sequential_mst]:
+   union-find [find]s per live edge, a closure sort of the forest, and a
+   Kruskal that copies its sorted ids).  Test code only; nothing in lib/
+   calls them. *)
 
 module Graph = Graphlib.Graph
 module Spanning = Graphlib.Spanning
@@ -276,3 +279,118 @@ let part_check g (t : Part.t) =
       t.parts;
     !ok
   end
+
+module Sequential_mst = struct
+  module Sort = Graphlib.Sort
+
+  let has_negative w m =
+    let neg = ref false in
+    for e = 0 to m - 1 do
+      if w.(e) < 0.0 then neg := true
+    done;
+    !neg
+
+  (* ascending (weight, id) edge ids.  Fast path: weights >= 0 map through
+     [Sort.float_key] into unsigned-63 radix order, payloads are edge ids,
+     and radix stability IS the id tie-break.  Rare negative weights fall
+     back to a monomorphic comparison sort with the same order. *)
+  let sorted_edge_ids g w =
+    let m = Graph.m g in
+    if has_negative w m then begin
+      let ids = Array.init m (fun i -> i) in
+      Array.sort
+        (fun a b ->
+          let c = Float.compare w.(a) w.(b) in
+          if c <> 0 then c else Int.compare a b)
+        ids;
+      ids
+    end
+    else begin
+      let keys = Sort.ints (max 1 m) and ids = Sort.ints (max 1 m) in
+      for e = 0 to m - 1 do
+        Bigarray.Array1.unsafe_set keys e (Sort.float_key w.(e));
+        Bigarray.Array1.unsafe_set ids e e
+      done;
+      Sort.sort_pairs ~len:m keys ids;
+      Array.init m (fun i -> Bigarray.Array1.unsafe_get ids i)
+    end
+
+  let kruskal g w =
+    let ids = sorted_edge_ids g w in
+    let uf = Union_find.create (Graph.n g) in
+    let acc = ref [] in
+    Array.iter
+      (fun e ->
+        let u, v = Graph.edge g e in
+        if Union_find.union uf u v then acc := e :: !acc)
+      ids;
+    List.rev !acc
+
+  (* Sort-free Boruvka over the flat edge list: each round scans the still-
+     live edges once, records per-component minimum (weight, id) edges, then
+     contracts them through the union-find.  The live list shrinks
+     geometrically (internal edges are filtered in place during the scan),
+     so total work is O(m alpha(n)) per round over a shrinking m — no
+     global sort, which wins when the edge list no longer fits in cache. *)
+  let boruvka g w =
+    let n = Graph.n g and m = Graph.m g in
+    if m = 0 then []
+    else begin
+      let uf = Union_find.create n in
+      (* better e1 e2: e1 strictly precedes e2 in (weight, id) order *)
+      let better e1 e2 = w.(e1) < w.(e2) || (w.(e1) = w.(e2) && e1 < e2) in
+      let live = Array.init m (fun i -> i) in
+      let live_len = ref m in
+      let best = Array.make n (-1) in
+      let touched = Array.make n 0 in
+      let out = Array.make (min m (max 1 (n - 1))) (-1) in
+      let out_len = ref 0 in
+      let progress = ref true in
+      while !live_len > 0 && !progress do
+        let ntouched = ref 0 in
+        let kept = ref 0 in
+        for i = 0 to !live_len - 1 do
+          let e = live.(i) in
+          let ru = Union_find.find uf (Graph.edge_u g e) in
+          let rv = Union_find.find uf (Graph.edge_v g e) in
+          if ru <> rv then begin
+            live.(!kept) <- e;
+            incr kept;
+            (if best.(ru) < 0 then begin
+               touched.(!ntouched) <- ru;
+               incr ntouched;
+               best.(ru) <- e
+             end
+             else if better e best.(ru) then best.(ru) <- e);
+            if best.(rv) < 0 then begin
+              touched.(!ntouched) <- rv;
+              incr ntouched;
+              best.(rv) <- e
+            end
+            else if better e best.(rv) then best.(rv) <- e
+          end
+        done;
+        live_len := !kept;
+        progress := !ntouched > 0;
+        for i = 0 to !ntouched - 1 do
+          let r = touched.(i) in
+          let e = best.(r) in
+          best.(r) <- -1;
+          (* a mutual-minimum edge is picked by both its components; the
+             second union is a no-op *)
+          if Union_find.union uf (Graph.edge_u g e) (Graph.edge_v g e) then begin
+            out.(!out_len) <- e;
+            incr out_len
+          end
+        done
+      done;
+      (* normalize to the same ascending (weight, id) order kruskal emits *)
+      let res = Array.sub out 0 !out_len in
+      Array.sort
+        (fun a b ->
+          let c = Float.compare w.(a) w.(b) in
+          if c <> 0 then c else Int.compare a b)
+        res;
+      Array.to_list res
+    end
+end

@@ -2,7 +2,9 @@
    with [Array.sort Int.compare] on non-negative keys and with the
    unsigned-63 oracle on arbitrary keys, pair sorts must be stable, the
    bitset must behave like a set, Boruvka must return the identical
-   unique forest as Kruskal across every CSR test family, the flat
+   unique forest as Kruskal across every CSR test family and as the
+   previous kernels of reference.ml on random multigraphs, the MST entry
+   check must refuse NaN and short weight arrays, the flat
    BFS/DFS worklists must reproduce the Queue-reference orders, the
    Fastrand draw must replay the stdlib stream, and seal must index the
    edges of a large graph correctly. *)
@@ -233,6 +235,138 @@ let test_kruskal_negative_weights () =
   check "negative weights: kruskal = boruvka" true
     (Spanning.kruskal g w = Spanning.boruvka g w)
 
+(* ---------- MST: differential against the previous kernels ---------- *)
+
+module Ref_mst = Reference.Sequential_mst
+
+(* A random builder multigraph: vertices fall into blocks that only get
+   edges among themselves (several components), some vertices get none
+   (isolated), and the raw stream carries self-loops and duplicates in
+   both orientations for the builder to drop or merge. *)
+let random_multigraph st =
+  let n = Random.State.int st 60 in
+  let b = Graph.Builder.create n in
+  let blocks = 1 + Random.State.int st 4 in
+  let members = Array.make blocks [] in
+  for v = n - 1 downto 0 do
+    if Random.State.int st 8 > 0 then begin
+      let c = Random.State.int st blocks in
+      members.(c) <- v :: members.(c)
+    end
+  done;
+  let members = Array.map Array.of_list members in
+  let raw = Array.make (4 * n + 1) (0, 0) in
+  let len = ref 0 in
+  for _ = 1 to Random.State.int st (4 * n + 1) do
+    let mem = members.(Random.State.int st blocks) in
+    let k = Array.length mem in
+    if k > 0 then begin
+      (* u = v is a self-loop *)
+      let u, v =
+        if !len > 0 && Random.State.int st 4 = 0 then
+          let u, v = raw.(Random.State.int st !len) in
+          if Random.State.bool st then (v, u) else (u, v)
+        else (mem.(Random.State.int st k), mem.(Random.State.int st k))
+      in
+      Graph.Builder.add_edge b u v;
+      raw.(!len) <- (u, v);
+      incr len
+    end
+  done;
+  Graph.Builder.build b
+
+let mst_weight_sets st m =
+  [
+    ("distinct", Array.init m (fun _ -> Random.State.float st 1.0));
+    ("equal", Array.make m 1.0);
+    ("0/1/2", Array.init m (fun _ -> float_of_int (Random.State.int st 3)));
+    ("mixed-sign", Array.init m (fun _ -> float_of_int (Random.State.int st 5 - 2)));
+    ("signed-zero", Array.init m (fun _ -> if Random.State.bool st then 0.0 else -0.0));
+  ]
+
+(* the current kernels, the previous ones and both [mst] strategies all
+   return one list *)
+let mst_agrees g w =
+  let k = Spanning.kruskal g w in
+  k = Spanning.boruvka g w
+  && k = Ref_mst.kruskal g w
+  && k = Ref_mst.boruvka g w
+  && k = Spanning.mst g w
+  && k = Spanning.mst ~strategy:Spanning.Boruvka g w
+
+let prop_mst_matches_previous =
+  QCheck.Test.make
+    ~name:"boruvka = kruskal = previous kernels on random multigraphs" ~count:300
+    QCheck.int
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let g = random_multigraph st in
+      List.for_all (fun (_, w) -> mst_agrees g w) (mst_weight_sets st (Graph.m g)))
+
+let test_mst_fixed_cases () =
+  let agree name g w = check (name ^ ": kernels agree") true (mst_agrees g w) in
+  let empty0 = Graph.of_edges 0 [] and empty7 = Graph.of_edges 7 [] in
+  check "n = 0: empty forest" true (Spanning.boruvka empty0 [||] = []);
+  check "m = 0: empty forest" true (Spanning.boruvka empty7 [||] = []);
+  agree "n = 0" empty0 [||];
+  agree "m = 0" empty7 [||];
+  let path = Generators.path 50 in
+  let inc = Array.init (Graph.m path) float_of_int in
+  check "path: every edge, in id order" true
+    (Spanning.boruvka path inc = List.init (Graph.m path) Fun.id);
+  agree "path" path inc;
+  (* decreasing weights: the forest comes out in descending id order *)
+  let star = Generators.star 40 in
+  let dec = Array.init (Graph.m star) (fun e -> float_of_int (Graph.m star - e)) in
+  check "star: every edge, by weight" true
+    (Spanning.boruvka star dec = List.rev (List.init (Graph.m star) Fun.id));
+  agree "star" star dec;
+  let inf = Array.init (Graph.m star) (fun e -> if e mod 3 = 0 then 1.0 else infinity) in
+  agree "star with infinite weights" star inf;
+  check "star with infinite weights: spanning" true
+    (List.length (Spanning.boruvka star inf) = Graph.m star);
+  List.iter
+    (fun (name, g) ->
+      let st = Random.State.make [| 17 |] in
+      List.iter
+        (fun (wname, w) -> agree (name ^ "/" ^ wname) g w)
+        (mst_weight_sets st (Graph.m g)))
+    [
+      (* many isolated vertices *)
+      ("rmat-s10", Generators.rmat ~seed:5 ~scale:10 ~edge_factor:4 ());
+      (* seven contraction rounds under distinct weights *)
+      ("grid-90x94", (Generators.grid 90 94).Generators.graph)
+    ]
+
+let test_mst_rejects_bad_weights () =
+  let g = Generators.torus_grid 4 4 in
+  let m = Graph.m g in
+  let raises_with name f expected =
+    check name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument msg -> String.equal msg expected)
+  in
+  let w = Array.init m (fun e -> float_of_int (e mod 5)) in
+  w.(3) <- nan;
+  w.(11) <- nan;
+  raises_with "kruskal rejects NaN" (fun () -> Spanning.kruskal g w)
+    "Spanning.kruskal: NaN weight on edge 3";
+  raises_with "boruvka rejects NaN" (fun () -> Spanning.boruvka g w)
+    "Spanning.boruvka: NaN weight on edge 3";
+  raises_with "mst rejects NaN" (fun () -> Spanning.mst ~strategy:Spanning.Boruvka g w)
+    "Spanning.boruvka: NaN weight on edge 3";
+  let short = Array.make (m - 1) 1.0 in
+  let msg fn = Printf.sprintf "Spanning.%s: %d weights for %d edges" fn (m - 1) m in
+  raises_with "kruskal rejects a short array" (fun () -> Spanning.kruskal g short)
+    (msg "kruskal");
+  raises_with "boruvka rejects a short array" (fun () -> Spanning.boruvka g short)
+    (msg "boruvka");
+  (* a longer array is fine: the extra entries are never read *)
+  let long = Array.make (m + 3) 1.0 in
+  check "longer weight array accepted" true (mst_agrees g long)
+
 (* ---------- BFS rewrite vs Queue reference ---------- *)
 
 let ref_bfs g src =
@@ -385,7 +519,12 @@ let () =
             test_boruvka_equals_kruskal;
           Alcotest.test_case "negative-weight fallback" `Quick
             test_kruskal_negative_weights;
-        ] );
+          Alcotest.test_case "fixed cases = previous kernels" `Quick
+            test_mst_fixed_cases;
+          Alcotest.test_case "NaN and short weight arrays rejected" `Quick
+            test_mst_rejects_bad_weights;
+        ]
+        @ qsuite [ prop_mst_matches_previous ] );
       ( "bfs",
         [
           Alcotest.test_case "flat worklists match Queue reference" `Quick

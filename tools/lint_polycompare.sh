@@ -37,7 +37,7 @@ if ! command -v nm >/dev/null 2>&1; then
   echo "lint-polycompare: nm not found; cannot check compiled objects" >&2
   exit 1
 fi
-forbidden='_?(caml_ba_get_[0-9]+|caml_ba_set_[0-9]+|caml_lessthan|caml_lessequal|caml_greaterthan|caml_greaterequal|caml_compare)'
+forbidden='_?(caml_ba_get_[0-9]+|caml_ba_set_[0-9]+|caml_lessthan|caml_lessequal|caml_greaterthan|caml_greaterequal|caml_compare|caml_equal|caml_notequal)'
 hits=""
 for lib in graphlib congest; do
   dir="_build/default/lib/$lib/.$lib.objs/native"
