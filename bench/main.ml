@@ -16,15 +16,13 @@
      dune exec bench/main.exe -- --no-breakdown -- skip the per-experiment span
                                                    timing tables (the only
                                                    nondeterministic stdout)
-     dune exec bench/main.exe -- --record BENCH.json -- write a benchmark
-                                                   record: per-experiment wall
-                                                   time, span totals, minor-heap
-                                                   allocation, alloc-per-round
-                                                   probes, cache hit rates
      dune exec bench/main.exe -- --ledger BENCH_LEDGER.jsonl --rev abc123 \
                                  --date 2026-08-08 -- append one schema-
-                                                   versioned ledger entry (same
-                                                   payload as --record plus
+                                                   versioned ledger entry
+                                                   (per-experiment wall time,
+                                                   span totals, minor-heap
+                                                   allocation, alloc-per-round
+                                                   probes, cache hit rates,
                                                    rev/date/mode stamps) for
                                                    tools/bench_diff to gate on
      dune exec bench/main.exe -- --no-cache     -- disable the memo cache
@@ -1314,7 +1312,7 @@ let s1 () =
     "the CSR core at n >= 10^6 on one structured and one power-law family:\n\
      build the graph, BFS from vertex 0, then Kruskal over seeded random\n\
      weights (a spanning forest when the family is disconnected).  Build,\n\
-     BFS and MST wall times plus peak RSS land in the --record JSON and the\n\
+     BFS and MST wall times plus peak RSS land in the ledger entry and the\n\
      JSONL scale events; stdout stays deterministic\n";
   let families =
     [ ("grid-1024x1024", `Grid (1024, 1024)); ("rmat-s20-ef8", `Rmat (20, 8)) ]
@@ -1680,22 +1678,17 @@ let experiments =
    of stdout — so --no-breakdown (declared up top) suppresses them for
    byte-exact diffing. *)
 
-(* --record FILE: machine-readable one-shot benchmark record (the
-   pre-ledger format; kept for ad-hoc comparisons — the gated artifact is
-   --ledger).  Collects per-experiment wall time, span totals/self times
-   and Gc.minor_words deltas, plus the steady-state CONGEST allocation
-   probes, and writes one JSON document at exit.  Alloc numbers live here
-   and in the breakdown block, never in deterministic stdout. *)
-let record_file = ref None
-
 (* --ledger FILE: append one schema-versioned entry per run to the bench
-   ledger (BENCH_LEDGER.jsonl) instead of overwriting a point-in-time
-   record; --rev/--date stamp the entry (the Makefile passes the git rev) *)
+   ledger (BENCH_LEDGER.jsonl); --rev/--date stamp the entry (the Makefile
+   passes the git rev).  An entry collects per-experiment wall time, span
+   totals/self times and Gc.minor_words deltas, plus the steady-state
+   CONGEST allocation probes.  Alloc numbers live here and in the
+   breakdown block, never in deterministic stdout. *)
 let ledger_file = ref None
 let ledger_rev = ref "local"
 let ledger_date = ref None
 let record_entries : Obs.Sink.json list ref = ref []
-let recording () = !record_file <> None || !ledger_file <> None
+let recording () = !ledger_file <> None
 
 (* BENCH_SYNTH_SLOWDOWN=0.25 stretches every experiment by +25% of its
    measured wall time (see burn_ms below) — the regression gate's
@@ -1893,7 +1886,6 @@ let () =
   let only = value_of "--only" in
   let json_path = value_of "--json" in
   let jsonl_path = value_of "--jsonl" in
-  record_file := value_of "--record";
   ledger_file := value_of "--ledger";
   (match value_of "--rev" with Some r -> ledger_rev := r | None -> ());
   ledger_date := value_of "--date";
@@ -1955,29 +1947,6 @@ let () =
       Memo.clear ();
       Memo.with_disabled timing
     end;
-    (match !record_file with
-    | Some path ->
-        let doc =
-          Obs.Sink.Obj
-            [
-              ("schema", Obs.Sink.String "bench-record/v1");
-              ( "total_ms",
-                Obs.Sink.Float
-                  (Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) record_t0)) );
-              ("experiments", Obs.Sink.List (List.rev !record_entries));
-              ("alloc_probes", Obs.Sink.List probes);
-              ("memo", Memo.stats_json ());
-              ("serve", !serve_section);
-              ("scale", !scale_section);
-              ("asynch", !asynch_section);
-            ]
-        in
-        let oc = open_out path in
-        output_string oc (Obs.Sink.to_string doc);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote benchmark record to %s\n" path
-    | None -> ());
     (match !ledger_file with
     | Some path ->
         let date =

@@ -62,7 +62,6 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
   let msgs = ref 0 and deliveries = ref 0 and events = ref 0 in
   let last_depart = Array.make (2 * m) 0.0 in
   let states = Array.init n (fun v -> algo.init g v) in
-  let edge_src = Array.init m (fun e -> Graph.edge_u g e) in
   let ctx = { g; node = -1; now = 0.0; emit = (fun _ _ -> ()) } in
   let emit w payload =
     let v = ctx.node in
@@ -78,7 +77,7 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
              "Asynch.Native: message exceeds bandwidth (%d -> %d, %d words > \
               %d)"
              v w words bandwidth);
-      let dir = (2 * e) + if edge_src.(e) = v then 0 else 1 in
+      let dir = Congest.Network.dir_of g e v in
       incr msgs;
       let l = Latency.draw lat in
       let depart =

@@ -181,12 +181,11 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
      alive at p (dead neighbors never emit safe(p); the simulator's
      perfect failure detector stops waiting for them) *)
   let required_safes v p =
-    let nbr = Hook.out_nbr h v in
-    if not have_crashes then Array.length nbr
+    if not have_crashes then Graph.degree g v
     else begin
       let c = ref 0 in
-      for i = 0 to Array.length nbr - 1 do
-        if not (dead nbr.(i) p) then incr c
+      for i = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+        if not (dead (Graph.adj_dst g i) p) then incr c
       done;
       !c
     end
@@ -203,19 +202,19 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
     gadd exec_cnt p 1;
     cur_pulse := p;
     cur_sends := 0;
-    let mail = Hook.has_mail h ~node:v ~pulse:p in
-    if mail || Hook.awake h v then Hook.step h ~node:v ~pulse:p;
+    Hook.step h ~node:v ~pulse:p;
     if Hook.awake h v then gadd unfinished_cnt p 1;
     pending_acks.(v) <- !cur_sends;
     if !cur_sends = 0 then become_safe v p t;
     check_waves t
   and become_safe v p t =
     self_safe.(v) <- true;
-    let dirs = Hook.out_dir h v in
-    for i = 0 to Array.length dirs - 1 do
+    for i = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
       incr ctrl_msgs;
       let l = Latency.draw lat in
-      schedule ~kind:2 ~dir:dirs.(i) ~pulse:p ~time:(t +. l) [||]
+      schedule ~kind:2
+        ~dir:(Network.dir_of g (Graph.adj_eid g i) v)
+        ~pulse:p ~time:(t +. l) [||]
     done;
     try_advance v t
   and try_advance v t =

@@ -138,8 +138,6 @@ let elect ?max_rounds ?trace ?faults g =
       Network.rounds = ecc;
       messages = Graph.n g - 1;
       words = 2 * (Graph.n g - 1);
-      max_words = 2;
-      max_edge_load = 1;
     }
   in
   let stats = Network.add_stats (Network.add_stats s1 s2) (Network.add_stats s3 s4) in

@@ -4,8 +4,6 @@ type stats = {
   rounds : int;
   messages : int;
   words : int;
-  max_words : int;
-  max_edge_load : int;
   active_steps : int;
   converged : bool;
   dropped : int;
@@ -18,8 +16,6 @@ let empty_stats =
     rounds = 0;
     messages = 0;
     words = 0;
-    max_words = 0;
-    max_edge_load = 0;
     active_steps = 0;
     converged = true;
     dropped = 0;
@@ -32,8 +28,6 @@ let add_stats a b =
     rounds = a.rounds + b.rounds;
     messages = a.messages + b.messages;
     words = a.words + b.words;
-    max_words = max a.max_words b.max_words;
-    max_edge_load = max a.max_edge_load b.max_edge_load;
     active_steps = a.active_steps + b.active_steps;
     converged = a.converged && b.converged;
     dropped = a.dropped + b.dropped;
@@ -42,16 +36,19 @@ let add_stats a b =
   }
 
 (* The message fabric (v3): every undirected edge e owns two directed
-   slots, 2e for Graph.edge endpoint order and 2e+1 reversed.  Payloads
-   live in a flat arena — slot [dir] owns words
-   [dir*bandwidth .. dir*bandwidth + len - 1] — instead of per-message
-   boxed [int array option]s, and occupancy is a round stamp:
-   [msg_round.(p).(dir) = r] means arena [p] holds a message for round
-   [r] on [dir].  Two parity-indexed arenas alternate (sends during
-   round r land in arena [(r+1) land 1], deliveries read arena
-   [r land 1]), so a send never clobbers an undelivered message, stale
-   stamps never match, and nothing is ever cleared: steady-state rounds
-   allocate no words at all.
+   slots, 2e for Graph.edge endpoint order and 2e+1 reversed ([dir_of] is
+   the one place that numbering is computed).  The fabric keeps no copy
+   of the topology: sends walk the sender's CSR segment, and the inbox
+   fill walks the receiver's neighbour-sorted order.  Payloads live in a
+   flat arena — slot [dir] owns words [dir*bandwidth .. dir*bandwidth +
+   len - 1] — instead of per-message boxed [int array option]s, and
+   occupancy is a round stamp: [msg_round.(p).(dir) = r] means arena [p]
+   holds a message for round [r] on [dir].  Two parity-indexed arenas
+   alternate (sends during round r land in arena [(r+1) land 1],
+   deliveries read arena [r land 1]), so a send never clobbers an
+   undelivered message, stale stamps never match, and nothing is ever
+   cleared: steady-state rounds allocate no words at all.  Per-edge load
+   is counted only by an attached trace; [stats] keeps run totals.
 
    The fault layer (DESIGN.md section 11) is a strictly additive detour:
    with a fault plan installed, accepted messages are not written into the
@@ -88,15 +85,12 @@ type hook_state = {
   h_fs : Faults.state option;
 }
 
+(* the directed slot of edge [e] leaving endpoint [u] *)
+let[@inline] dir_of g e u = if Graph.edge_u g e = u then 2 * e else (2 * e) + 1
+
 type ctx = {
   g : Graph.t;
   bandwidth : int;
-  edge_src : int array;  (* first Graph.edge endpoint: orientation of dir 2e *)
-  out_nbr : int array array;  (* per node: neighbors, adjacency order *)
-  out_dir : int array array;  (* per node: dir id towards each neighbor *)
-  in_nbr : int array array;  (* per node: senders, ascending id *)
-  in_dir : int array array;  (* per node: dir id from each sender *)
-  load : int array;  (* cumulative messages per dir id *)
   arena : int array array;  (* 2 parity buffers of 2m * bandwidth words *)
   msg_len : int array array;  (* 2 x 2m: payload length per slot *)
   msg_round : int array array;  (* 2 x 2m: round the slot is valid for *)
@@ -112,8 +106,6 @@ type ctx = {
   mutable round : int;
   mutable messages : int;
   mutable words : int;
-  mutable max_words : int;
-  mutable max_load : int;
   mutable dropped : int;
   mutable delayed : int;
   mutable retried : int;
@@ -125,7 +117,7 @@ type ctx = {
 let node ctx = ctx.node
 let round ctx = ctx.round
 let graph ctx = ctx.g
-let degree ctx = Array.length ctx.out_dir.(ctx.node)
+let degree ctx = Graph.degree ctx.g ctx.node
 let inbox_size ctx = ctx.ibx_n
 let inbox_sender ctx i = ctx.ibx_sender.(i)
 let inbox_words ctx i = ctx.msg_len.(ctx.round land 1).(ctx.ibx_dir.(i))
@@ -153,16 +145,12 @@ let err_bandwidth ctx w words =
         %d)"
        ctx.round ctx.node w words ctx.bandwidth)
 
-(* accepted-message accounting shared by both send paths; the clean path
-   additionally writes the arena inline, the fault path defers that to the
-   delivery round *)
+(* accepted-message accounting shared by every send path; the clean path
+   also writes the arena at send time, the fault and hook paths defer that
+   to the delivery round *)
 let account ctx dir words =
-  let l = ctx.load.(dir) + 1 in
-  ctx.load.(dir) <- l;
-  if l > ctx.max_load then ctx.max_load <- l;
   ctx.messages <- ctx.messages + 1;
   ctx.words <- ctx.words + words;
-  if words > ctx.max_words then ctx.max_words <- words;
   match ctx.trace with
   | Some t -> Trace.on_send t ~dir_edge:dir ~words
   | None -> ()
@@ -174,8 +162,6 @@ let note_drop ctx =
 let note_retry ctx =
   ctx.retried <- ctx.retried + 1;
   match ctx.trace with Some t -> Trace.on_retry t | None -> ()
-
-let faults_active ctx = ctx.faults <> None
 
 (* fault-path send: capacity is enforced by a per-dir send stamp (the arena
    write is deferred, so its round stamp cannot serve), then the message
@@ -259,15 +245,7 @@ let deliver ctx w dir payload =
   ctx.msg_round.(p).(dir) <- ctx.round + 1;
   ctx.msg_len.(p).(dir) <- words;
   Array.blit payload 0 ctx.arena.(p) (dir * ctx.bandwidth) words;
-  let l = ctx.load.(dir) + 1 in
-  ctx.load.(dir) <- l;
-  if l > ctx.max_load then ctx.max_load <- l;
-  ctx.messages <- ctx.messages + 1;
-  ctx.words <- ctx.words + words;
-  if words > ctx.max_words then ctx.max_words <- words;
-  (match ctx.trace with
-  | Some t -> Trace.on_send t ~dir_edge:dir ~words
-  | None -> ());
+  account ctx dir words;
   if not ctx.has_mail.(w) then begin
     ctx.has_mail.(w) <- true;
     ctx.next_recv.(ctx.next_recv_n) <- w;
@@ -280,13 +258,13 @@ let send ctx w payload =
     invalid_arg
       (Printf.sprintf "Congest: send to a non-neighbor (round %d, %d -> %d)"
          ctx.round ctx.node w);
-  let dir = (2 * e) + if ctx.edge_src.(e) = ctx.node then 0 else 1 in
-  deliver ctx w dir payload
+  deliver ctx w (dir_of ctx.g e ctx.node) payload
 
+(* CSR order: the send order every recorded experiment depends on *)
 let send_all ctx payload =
-  let nbr = ctx.out_nbr.(ctx.node) and dir = ctx.out_dir.(ctx.node) in
-  for i = 0 to Array.length nbr - 1 do
-    deliver ctx nbr.(i) dir.(i) payload
+  let g = ctx.g and v = ctx.node in
+  for p = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+    deliver ctx (Graph.adj_dst g p) (dir_of g (Graph.adj_eid g p) v) payload
   done
 
 type 'st algo = {
@@ -295,86 +273,103 @@ type 'st algo = {
   finished : 'st -> bool;
 }
 
-(* context construction shared by the synchronous engine and hook mode *)
+(* context construction shared by the synchronous engine and hook mode:
+   the per-run message state only, the topology stays in the CSR *)
 let make_ctx ~bandwidth ~trace ~fstate ~hook g =
   let n = Graph.n g in
   let m = Graph.m g in
-  let edge_src = Array.init (Graph.m g) (fun e -> Graph.edge_u g e) in
-  let dir_of e u = if edge_src.(e) = u then 2 * e else (2 * e) + 1 in
-  let out_nbr = Array.init n (fun v -> Graph.neighbors g v) in
-  let out_dir =
-    Array.init n (fun v ->
-        let lo = Graph.adj_offset g v in
-        Array.init (Graph.degree g v) (fun i -> dir_of (Graph.adj_eid g (lo + i)) v))
-  in
-  (* receiving side, ascending sender id: the inbox fill scans these
-     end-to-start, so the indexed inbox comes out in descending sender
-     order (the delivery order every recorded experiment depends on).
-     One counting scatter over the senders in ascending id fills every
-     receiver's row already sorted. *)
-  let in_nbr = Array.init n (fun v -> Array.make (Graph.degree g v) 0) in
-  let in_dir = Array.init n (fun v -> Array.make (Graph.degree g v) 0) in
-  let fill = Array.make n 0 in
-  for u = 0 to n - 1 do
-    for i = Graph.adj_offset g u to Graph.adj_offset g (u + 1) - 1 do
-      let v = Graph.adj_dst g i in
-      let k = fill.(v) in
-      in_nbr.(v).(k) <- u;
-      in_dir.(v).(k) <- dir_of (Graph.adj_eid g i) u;
-      fill.(v) <- k + 1
-    done
+  let maxdeg = ref 0 in
+  for v = 0 to n - 1 do
+    let d = Graph.degree g v in
+    if d > !maxdeg then maxdeg := d
   done;
-  let maxdeg = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 out_nbr in
   {
     g;
     bandwidth;
-      edge_src;
-      out_nbr;
-      out_dir;
-      in_nbr;
-      in_dir;
-      load = Array.make (2 * m) 0;
-      arena = [| Array.make (2 * m * bandwidth) 0; Array.make (2 * m * bandwidth) 0 |];
-      msg_len = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
-      msg_round = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
-      ibx_sender = Array.make maxdeg 0;
-      ibx_dir = Array.make maxdeg 0;
-      ibx_n = 0;
-      has_mail = Array.make n false;
-      next_recv = Array.make n 0;
-      next_recv_n = 0;
-      node = -1;
-      round = 0;
-      messages = 0;
-      words = 0;
-      max_words = 0;
-      max_load = 0;
-      dropped = 0;
-      delayed = 0;
-      retried = 0;
-      trace;
-      faults = fstate;
-      hook;
+    arena = [| Array.make (2 * m * bandwidth) 0; Array.make (2 * m * bandwidth) 0 |];
+    msg_len = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
+    msg_round = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
+    ibx_sender = Array.make !maxdeg 0;
+    ibx_dir = Array.make !maxdeg 0;
+    ibx_n = 0;
+    has_mail = Array.make n false;
+    next_recv = Array.make n 0;
+    next_recv_n = 0;
+    node = -1;
+    round = 0;
+    messages = 0;
+    words = 0;
+    dropped = 0;
+    delayed = 0;
+    retried = 0;
+    trace;
+    faults = fstate;
+    hook;
   }
 
-(* the stepped node's inbox view: scan the incoming dirs end-to-start for
-   slots stamped with the current round, so the indexed inbox comes out
-   in descending sender order (the delivery order every recorded
-   experiment depends on).  Shared verbatim by the synchronous engine and
-   hook-mode pulses. *)
+(* the stepped node's inbox view: walk v's neighbour-sorted order
+   end-to-start for sender slots stamped with the current round, so the
+   indexed inbox comes out in descending sender order (the delivery order
+   every recorded experiment depends on).  Shared verbatim by the
+   synchronous engine and hook-mode pulses. *)
 let fill_inbox ctx v =
-  let nbrs = ctx.in_nbr.(v) and dirs = ctx.in_dir.(v) in
+  let g = ctx.g in
   let mr = ctx.msg_round.(ctx.round land 1) in
   let k = ref 0 in
-  for i = Array.length nbrs - 1 downto 0 do
-    let dir = dirs.(i) in
+  for i = Graph.adj_offset g (v + 1) - 1 downto Graph.adj_offset g v do
+    let p = Graph.adj_sorted g i in
+    (* the reverse of v's slot on the edge: the sender's *)
+    let dir = dir_of g (Graph.adj_eid g p) v lxor 1 in
     if mr.(dir) = ctx.round then begin
-      ctx.ibx_sender.(!k) <- nbrs.(i);
+      ctx.ibx_sender.(!k) <- Graph.adj_dst g p;
       ctx.ibx_dir.(!k) <- dir;
       incr k
     end
   done;
   ctx.ibx_n <- !k
+
+(* the end of a run, shared by both engines.  With a live fault plan it
+   bumps the faults.* counters and emits one fault_summary event;
+   [undelivered] is what was still in flight, 0 under the hook, whose
+   arrival losses count as drops. *)
+let finish_run ctx ~faults ~rounds ~active_steps ~converged =
+  (match faults with
+  | Some (plan, fs, undelivered) ->
+      Obs.Metrics.add (Obs.Metrics.counter "faults.dropped") ctx.dropped;
+      Obs.Metrics.add (Obs.Metrics.counter "faults.delayed") ctx.delayed;
+      Obs.Metrics.add (Obs.Metrics.counter "faults.retried") ctx.retried;
+      Obs.Metrics.add (Obs.Metrics.counter "faults.undelivered") undelivered;
+      let crashed_n = ref 0 in
+      for v = 0 to Graph.n ctx.g - 1 do
+        let cr = Faults.crash_round fs v in
+        if cr >= 0 && cr <= rounds then incr crashed_n
+      done;
+      Obs.Metrics.add (Obs.Metrics.counter "faults.crashed") !crashed_n;
+      Obs.Metrics.incr (Obs.Metrics.counter "faults.runs");
+      if Obs.Sink.enabled () then
+        Obs.Sink.emit ~type_:"fault_summary"
+          (Faults.plan_fields plan
+          @ [
+              ("rounds", Obs.Sink.Int rounds);
+              ("messages", Obs.Sink.Int ctx.messages);
+              ("dropped", Obs.Sink.Int ctx.dropped);
+              ("delayed", Obs.Sink.Int ctx.delayed);
+              ("retried", Obs.Sink.Int ctx.retried);
+              ("undelivered", Obs.Sink.Int undelivered);
+              ("crashed", Obs.Sink.Int !crashed_n);
+              ("converged", Obs.Sink.Bool converged);
+            ])
+  | None -> ());
+  {
+    rounds;
+    messages = ctx.messages;
+    words = ctx.words;
+    active_steps;
+    converged;
+    dropped = ctx.dropped;
+    delayed = ctx.delayed;
+    retried = ctx.retried;
+  }
 
 let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
   let n = Graph.n g in
@@ -502,51 +497,13 @@ let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
       && match fstate with Some f -> f.in_flight = 0 | None -> true
     then converged := true
   done;
-  (match fstate with
-  | Some f ->
-      Obs.Metrics.add (Obs.Metrics.counter "faults.dropped") ctx.dropped;
-      Obs.Metrics.add (Obs.Metrics.counter "faults.delayed") ctx.delayed;
-      Obs.Metrics.add (Obs.Metrics.counter "faults.retried") ctx.retried;
-      Obs.Metrics.add (Obs.Metrics.counter "faults.undelivered") f.in_flight;
-      let crashed_n =
-        let c = ref 0 in
-        for v = 0 to n - 1 do
-          let cr = Faults.crash_round f.fs v in
-          if cr >= 0 && cr <= !round then incr c
-        done;
-        !c
-      in
-      Obs.Metrics.add (Obs.Metrics.counter "faults.crashed") crashed_n;
-      Obs.Metrics.incr (Obs.Metrics.counter "faults.runs");
-      if Obs.Sink.enabled () then
-        Obs.Sink.emit ~type_:"fault_summary"
-          ((match faults with
-           | Some plan -> Faults.plan_fields plan
-           | None -> [])
-          @ [
-              ("rounds", Obs.Sink.Int !round);
-              ("messages", Obs.Sink.Int ctx.messages);
-              ("dropped", Obs.Sink.Int ctx.dropped);
-              ("delayed", Obs.Sink.Int ctx.delayed);
-              ("retried", Obs.Sink.Int ctx.retried);
-              ("undelivered", Obs.Sink.Int f.in_flight);
-              ("crashed", Obs.Sink.Int crashed_n);
-              ("converged", Obs.Sink.Bool !converged);
-            ])
-  | None -> ());
   ( states,
-    {
-      rounds = !round;
-      messages = ctx.messages;
-      words = ctx.words;
-      max_words = ctx.max_words;
-      max_edge_load = ctx.max_load;
-      active_steps = !active_steps;
-      converged = !converged;
-      dropped = ctx.dropped;
-      delayed = ctx.delayed;
-      retried = ctx.retried;
-    } )
+    finish_run ctx
+      ~faults:
+        (match (faults, fstate) with
+        | Some plan, Some f -> Some (plan, f.fs, f.in_flight)
+        | _ -> None)
+      ~rounds:!round ~active_steps:!active_steps ~converged:!converged )
 
 (* ---------- substrate override ----------
 
@@ -635,8 +592,6 @@ module Hook = struct
   let n t = Graph.n t.hctx.g
   let graph t = t.hctx.g
   let awake t v = t.awake_fn v
-  let out_nbr t v = t.hctx.out_nbr.(v)
-  let out_dir t v = t.hctx.out_dir.(v)
 
   let dir_dst t dir =
     let e = dir / 2 in
@@ -656,70 +611,26 @@ module Hook = struct
     ctx.msg_len.(p).(dir) <- words;
     Array.blit payload 0 ctx.arena.(p) (dir * ctx.bandwidth) words
 
-  let has_mail t ~node ~pulse =
-    let ctx = t.hctx in
-    let dirs = ctx.in_dir.(node) in
-    let mr = ctx.msg_round.(pulse land 1) in
-    let found = ref false in
-    for i = 0 to Array.length dirs - 1 do
-      if mr.(dirs.(i)) = pulse then found := true
-    done;
-    !found
-
+  (* one inbox scan per pulse: the same predicate the synchronous
+     worklist applies, mail or awake *)
   let step t ~node ~pulse =
     let ctx = t.hctx in
     ctx.round <- pulse;
     ctx.node <- node;
     fill_inbox ctx node;
-    t.steps <- t.steps + 1;
-    t.step_fn node
+    if ctx.ibx_n > 0 || t.awake_fn node then begin
+      t.steps <- t.steps + 1;
+      t.step_fn node
+    end
 
   let note_lost t = note_drop t.hctx
   let wave_end t = match t.hctx.trace with Some tr -> Trace.on_round_end tr | None -> ()
 
   let finish t ~rounds ~converged =
-    let ctx = t.hctx in
-    (match t.hstate.h_fs with
-    | Some fs ->
-        Obs.Metrics.add (Obs.Metrics.counter "faults.dropped") ctx.dropped;
-        Obs.Metrics.add (Obs.Metrics.counter "faults.delayed") ctx.delayed;
-        Obs.Metrics.add (Obs.Metrics.counter "faults.retried") ctx.retried;
-        let crashed_n =
-          let c = ref 0 in
-          for v = 0 to Graph.n ctx.g - 1 do
-            let cr = Faults.crash_round fs v in
-            if cr >= 0 && cr <= rounds then incr c
-          done;
-          !c
-        in
-        Obs.Metrics.add (Obs.Metrics.counter "faults.crashed") crashed_n;
-        Obs.Metrics.incr (Obs.Metrics.counter "faults.runs");
-        if Obs.Sink.enabled () then
-          Obs.Sink.emit ~type_:"fault_summary"
-            ((match t.plan with
-             | Some plan -> Faults.plan_fields plan
-             | None -> [])
-            @ [
-                ("rounds", Obs.Sink.Int rounds);
-                ("messages", Obs.Sink.Int ctx.messages);
-                ("dropped", Obs.Sink.Int ctx.dropped);
-                ("delayed", Obs.Sink.Int ctx.delayed);
-                ("retried", Obs.Sink.Int ctx.retried);
-                ("undelivered", Obs.Sink.Int 0);
-                ("crashed", Obs.Sink.Int crashed_n);
-                ("converged", Obs.Sink.Bool converged);
-              ])
-    | None -> ());
-    {
-      rounds;
-      messages = ctx.messages;
-      words = ctx.words;
-      max_words = ctx.max_words;
-      max_edge_load = ctx.max_load;
-      active_steps = t.steps;
-      converged;
-      dropped = ctx.dropped;
-      delayed = ctx.delayed;
-      retried = ctx.retried;
-    }
+    finish_run t.hctx
+      ~faults:
+        (match (t.plan, t.hstate.h_fs) with
+        | Some plan, Some fs -> Some (plan, fs, 0)
+        | _ -> None)
+      ~rounds ~active_steps:t.steps ~converged
 end

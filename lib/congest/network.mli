@@ -10,13 +10,20 @@
 
     The executor is edge-indexed: every undirected edge [e] owns two
     directed message slots ([2e] in [Graph.edge] endpoint order, [2e + 1]
-    reversed). Payloads live in a flat, preallocated arena rather than
-    per-message boxed arrays, and slot occupancy is a round stamp: two
-    parity-indexed arenas alternate between the round being stepped and the
-    round being written, so sends never clobber undelivered messages and no
-    buffer is ever cleared. [send] resolves the edge by binary search over
-    the graph's sorted adjacency. A steady-state round — every node
-    re-stepping, every edge busy — allocates nothing.
+    reversed; see {!dir_of}). Payloads live in a flat, preallocated arena
+    rather than per-message boxed arrays, and slot occupancy is a round
+    stamp: two parity-indexed arenas alternate between the round being
+    stepped and the round being written, so sends never clobber
+    undelivered messages and no buffer is ever cleared.
+
+    The engine keeps no copy of the topology: it reads the graph's CSR.
+    [send_all] walks the sender's segment, [send] resolves the edge by
+    binary search over the neighbour-sorted order, and the inbox fill
+    walks the receiver's neighbour-sorted order from its end. A run
+    allocates only its message state (the two arenas with their length and
+    round stamps, an inbox scratch of the maximum degree, the worklists),
+    and a steady-state round — every node re-stepping, every edge busy —
+    allocates nothing.
 
     Nodes are stepped from an active worklist, not by scanning all [n]:
     a node is stepped in a round iff it has mail or it reported
@@ -31,14 +38,13 @@
     view is valid only during that node's [step] call and is presented in
     descending sender order. *)
 
+(** A run's totals.  Per-edge congestion (the busiest directed edge, its
+    load, the per-round series) is counted once per message by an attached
+    {!Trace.t}, not here. *)
 type stats = {
   rounds : int;  (** rounds until all nodes finished (or the cap) *)
   messages : int;  (** total messages delivered *)
   words : int;  (** total payload words across all messages *)
-  max_words : int;  (** widest message observed *)
-  max_edge_load : int;
-      (** max cumulative messages across a single directed edge — the
-          empirical congestion of the run *)
   active_steps : int;
       (** node steps actually executed; [n * rounds] minus the quiescence
           savings *)
@@ -62,6 +68,12 @@ val round : ctx -> int
 (** The current round, starting at 1. *)
 
 val graph : ctx -> Graphlib.Graph.t
+
+val dir_of : Graphlib.Graph.t -> int -> int -> int
+(** [dir_of g e u] is the directed slot of edge [e] leaving endpoint [u]:
+    [2e] when [u] is [Graph.edge_u g e], [2e + 1] otherwise; the reverse
+    slot is [dir_of g e u lxor 1].  The one definition of the slot
+    numbering that sends, traces, fault checks and lib/asynch share. *)
 
 val degree : ctx -> int
 (** Degree of the current node. *)
@@ -101,11 +113,6 @@ val note_retry : ctx -> unit
 (** Record one retransmission into the run's fault telemetry (stats,
     trace, [faults.retried]).  Called by the {!Resilient} combinator; an
     algorithm implementing its own retry discipline may call it too. *)
-
-val faults_active : ctx -> bool
-(** Whether this run has a live fault plan installed — i.e. messages may
-    be dropped, delayed, or lost to crashes.  Lets an algorithm choose a
-    defensive variant only when it is paying for one. *)
 
 type 'st algo = {
   init : Graphlib.Graph.t -> int -> 'st;
@@ -203,12 +210,6 @@ module Hook : sig
   (** [true] iff the node's state is not finished — the same predicate
       the synchronous worklist uses. *)
 
-  val out_nbr : t -> int -> int array
-  (** Neighbors of a node, adjacency order (shared, do not mutate). *)
-
-  val out_dir : t -> int -> int array
-  (** Directed-edge slot towards each neighbor, parallel to {!out_nbr}. *)
-
   val dir_dst : t -> int -> int
   (** Receiver of directed slot [dir]. *)
 
@@ -222,13 +223,12 @@ module Hook : sig
   (** Blit a payload into the arena slot for [dir], stamped for
       consumption by the receiver's step at [pulse]. *)
 
-  val has_mail : t -> node:int -> pulse:int -> bool
-  (** Does the node have at least one delivered message stamped [pulse]? *)
-
   val step : t -> node:int -> pulse:int -> unit
   (** Fill the node's inbox view from the messages stamped [pulse] (in
-      descending sender order, as the synchronous engine does) and run
-      the algorithm's step with [round ctx = pulse]. *)
+      descending sender order, as the synchronous engine does) and, iff
+      the inbox is non-empty or the node is {!awake}, run the algorithm's
+      step with [round ctx = pulse] — the synchronous worklist's
+      predicate, evaluated with one inbox scan. *)
 
   val note_lost : t -> unit
   (** Record a message lost at arrival (receiver crashed) into the run's
@@ -238,8 +238,9 @@ module Hook : sig
   (** Mark a round boundary on the attached trace, if any. *)
 
   val finish : t -> rounds:int -> converged:bool -> stats
-  (** Close the run: emit the fault telemetry the synchronous engine
-      emits (counters + [fault_summary], when a plan is live) and return
+  (** Close the run exactly as the synchronous engine closes one (the
+      [faults.*] counters and a [fault_summary] event when a plan is live,
+      with [undelivered = 0]: arrival losses count as drops) and return
       the stats with the caller's round count and convergence flag. *)
 end
 
@@ -247,6 +248,5 @@ val empty_stats : stats
 (** All-zero, [converged = true] — the unit for {!add_stats}. *)
 
 val add_stats : stats -> stats -> stats
-(** Sequential composition: rounds/messages/words/steps add, widths and
-    edge loads take the max (an upper estimate for the composite run),
-    convergence is the conjunction. *)
+(** Sequential composition: the counts add, convergence is the
+    conjunction. *)

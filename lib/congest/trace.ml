@@ -17,7 +17,7 @@ let series_push s x =
 let series_to_array s = Array.sub s.a 0 s.len
 
 type t = {
-  edges : (int * int) array;  (* endpoint table, by undirected edge id *)
+  g : Graph.t;  (* read for the busiest edge's endpoints *)
   load : int array;  (* cumulative messages per directed edge id *)
   mutable max_load : int;
   mutable argmax : int;  (* directed edge id of a busiest edge, -1 if none *)
@@ -43,7 +43,7 @@ type t = {
 
 let create g =
   {
-    edges = Graph.edges g;
+    g;
     load = Array.make (2 * Graph.m g) 0;
     max_load = 0;
     argmax = -1;
@@ -105,19 +105,11 @@ let on_round_end t =
 let rounds t = t.per_round_messages.len
 let messages t = t.messages
 let words t = t.words
-let dir_edge_load t dir = t.load.(dir)
-let edge_load t e = t.load.(2 * e) + t.load.((2 * e) + 1)
 let max_edge_load t = t.max_load
 
 let endpoints_of_dir t dir =
-  let u, v = t.edges.(dir / 2) in
+  let u, v = Graph.edge t.g (dir / 2) in
   if dir land 1 = 0 then (u, v) else (v, u)
-
-let busiest_edge t =
-  if t.argmax < 0 then None
-  else
-    let u, v = endpoints_of_dir t t.argmax in
-    Some (u, v, t.max_load)
 
 let dropped t = t.dropped
 let delayed t = t.delayed
@@ -202,7 +194,6 @@ let summary_fields s =
   @ if s.retried > 0 then [ ("retried", Obs.Sink.Int s.retried) ] else []
 
 let summary_json s = Obs.Sink.Obj (summary_fields s)
-let summary_to_json s = Obs.Sink.to_string (summary_json s)
 
 let per_round_to_json t =
   Obs.Sink.Obj
@@ -220,33 +211,6 @@ let per_round_to_json t =
     @
     if t.retried > 0 then [ ("retried", json_int_array (round_retried t)) ]
     else [])
-
-let per_edge_json t =
-  let rows = ref [] in
-  for e = Array.length t.edges - 1 downto 0 do
-    let u, v = t.edges.(e) in
-    let up = t.load.(2 * e) and down = t.load.((2 * e) + 1) in
-    if up + down > 0 then
-      rows :=
-        Obs.Sink.Obj
-          [
-            ("u", Obs.Sink.Int u);
-            ("v", Obs.Sink.Int v);
-            ("load", Obs.Sink.Int (up + down));
-            ("up", Obs.Sink.Int up);
-            ("down", Obs.Sink.Int down);
-          ]
-        :: !rows
-  done;
-  Obs.Sink.List !rows
-
-let to_json ?(per_edge = false) t =
-  let fields =
-    summary_fields (summary t)
-    @ [ ("per_round", per_round_to_json t) ]
-    @ if per_edge then [ ("per_edge", per_edge_json t) ] else []
-  in
-  Obs.Sink.to_string (Obs.Sink.Obj fields)
 
 let emit ?label ?(full = false) t =
   if Obs.Sink.enabled () then begin

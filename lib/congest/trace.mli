@@ -4,8 +4,9 @@
     quality [q = b * d_T + c] of a shortcut is realized as the number of
     rounds a part-wise aggregation needs, and the [c] term is exactly the
     number of messages the busiest tree edge must serialize. A [Trace.t]
-    threaded through {!Network.run} records that profile instead of the
-    four aggregate counters of {!Network.stats}:
+    threaded through {!Network.run} records that profile, which the
+    run totals of {!Network.stats} do not carry; it is the one place a
+    message's edge load is counted:
 
     - per-round message and word counts,
     - cumulative load per directed edge (edge [e] of the graph owns the
@@ -19,8 +20,8 @@
 type t
 
 val create : Graphlib.Graph.t -> t
-(** A fresh, empty trace for a graph. The trace only stores the graph's
-    edge count and endpoint table; it never mutates the graph. *)
+(** A fresh, empty trace for a graph. The trace keeps the graph (to name
+    the busiest edge's endpoints) and never mutates it. *)
 
 (** {1 Recording — called by {!Network.run}} *)
 
@@ -55,19 +56,9 @@ val dropped : t -> int
 val delayed : t -> int
 val retried : t -> int
 
-val dir_edge_load : t -> int -> int
-(** Cumulative messages sent over one directed edge id. *)
-
-val edge_load : t -> int -> int
-(** Cumulative messages over an undirected edge id, both directions. *)
-
 val max_edge_load : t -> int
 (** The paper's empirical congestion: the busiest directed edge's
     cumulative message count. 0 on an empty trace. *)
-
-val busiest_edge : t -> (int * int * int) option
-(** [(u, v, load)] for a maximally loaded directed edge (messages flowed
-    [u -> v]), or [None] if nothing was sent. *)
 
 val round_messages : t -> int array
 (** Messages delivered per round, index 0 = first recorded round. Fresh
@@ -111,17 +102,9 @@ val summary_to_string : summary -> string
     Fault counters ([dropped=..] etc.) are appended only when nonzero, so
     clean-run lines are byte-identical to the pre-fault-layer format. *)
 
-val to_json : ?per_edge:bool -> t -> string
-(** JSON object with the summary fields plus the three per-round series;
-    with [per_edge] (default false) also a [per_edge] array of
-    [{"u", "v", "load", "up", "down"}] rows for every edge that carried at
-    least one message. Rendered by the shared {!Obs.Sink} encoder. *)
-
 val summary_json : summary -> Obs.Sink.json
 (** The summary as a structured JSON value, for embedding into larger
     documents or sink events. *)
-
-val summary_to_json : summary -> string
 
 val per_round_to_json : t -> Obs.Sink.json
 (** [{"messages": [...], "words": [...], "max_edge_load": [...]}] — the

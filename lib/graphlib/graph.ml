@@ -12,8 +12,8 @@
    that order; do not reorder segments.
 
    [srt] is a permutation of CSR positions, sorted per segment by
-   neighbor id: the binary-search lookup idiom formerly provided by the
-   [adj_sorted] arrays, without a second copy of the pairs.
+   neighbor id: the binary-search lookup index, and the CONGEST fabric's
+   inbox order, without a second copy of the pairs.
 
    The payload lives outside the OCaml heap: the GC never scans or moves
    it, [Exec.Pool] domains share it zero-copy, and [Obj.reachable_words]
@@ -73,6 +73,7 @@ let[@inline] degree g v =
 let[@inline] adj_offset g v = Ba.get g.seg v
 let[@inline] adj_dst g p = Ba.get g.dst p
 let[@inline] adj_eid g p = Ba.get g.eid p
+let[@inline] adj_sorted g i = Ba.get g.srt i
 
 let iter_adj g v f =
   let lo = Ba.get g.seg v and hi = Ba.unsafe_get g.seg (v + 1) in

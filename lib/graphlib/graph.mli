@@ -67,7 +67,7 @@ val neighbors : t -> int -> int array
 (** {2 Raw CSR indexing}
 
     For consumers that need random access into a vertex's segment (the
-    CONGEST fabric's per-node tables, the planarity rotation builder).
+    CONGEST fabric's send and inbox walks, the planarity rotation builder).
     Positions [adj_offset g v .. adj_offset g (v+1) - 1] hold [v]'s
     incident pairs in edge-insertion order. *)
 
@@ -79,6 +79,11 @@ val adj_dst : t -> int -> int
 
 val adj_eid : t -> int -> int
 (** Edge id stored at raw CSR position [p]. *)
+
+val adj_sorted : t -> int -> int
+(** [adj_sorted g i] is the raw CSR position at sorted index [i]: for
+    [adj_offset g v <= i < adj_offset g (v+1)], these positions list [v]'s
+    incident pairs by ascending neighbor id. *)
 
 val other_endpoint : t -> int -> int -> int
 (** [other_endpoint g e v] is the endpoint of [e] distinct from [v].

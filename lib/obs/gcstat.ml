@@ -65,9 +65,9 @@ let delta ~before ~after =
     heap_words = after.heap_words;  (* report where the heap ended up *)
   }
 
-(* Rendered into span events and --record/--ledger documents.  Word counts
-   round to integers: quick_stat's floats exist to survive 32-bit counters,
-   not to carry sub-word precision. *)
+(* Rendered into span events and --ledger entries.  Word counts round to
+   integers: quick_stat's floats exist to survive 32-bit counters, not to
+   carry sub-word precision. *)
 let fields d =
   [
     ("minor_words", Sink.Int (int_of_float d.minor_words));

@@ -1,12 +1,12 @@
-(* Process resource probes for the scale experiments and bench records.
+(* Process resource probes for the scale experiments and bench ledger.
 
    Peak RSS comes from /proc/self/status's VmHWM line (the kernel's
    high-water mark for resident set size, in KiB); the current RSS from
    VmRSS in the same file.  Where procfs is absent (non-Linux), peak RSS
    falls back to getrusage(2)'s ru_maxrss via a one-function C stub, so
-   --record/--ledger entries stay meaningful off Linux; current RSS has no
-   portable equivalent and degrades to None, with callers recording zero
-   rather than failing. *)
+   --ledger entries stay meaningful off Linux; current RSS has no portable
+   equivalent and degrades to None, with callers recording zero rather
+   than failing. *)
 
 external getrusage_maxrss_kb : unit -> int = "obs_getrusage_maxrss_kb"
 

@@ -27,8 +27,6 @@ let stats_equal a b =
   a.Network.rounds = b.Network.rounds
   && a.Network.messages = b.Network.messages
   && a.Network.words = b.Network.words
-  && a.Network.max_words = b.Network.max_words
-  && a.Network.max_edge_load = b.Network.max_edge_load
   && a.Network.active_steps = b.Network.active_steps
   && a.Network.converged = b.Network.converged
   && a.Network.dropped = b.Network.dropped
@@ -89,27 +87,46 @@ let test_plan_validation () =
 
 let test_zero_plan_identity () =
   let g = Generators.cycle 12 in
+  (* stats carry totals only; each compared run records into a fresh
+     trace so the busiest edge and its load are compared too *)
+  let traced run =
+    let t = Congest.Trace.create g in
+    let r = run t in
+    (r, Congest.Trace.summary t)
+  in
   (* BFS *)
-  let d0, s0 = Bfs.run g ~root:0 in
-  let d1, s1 = Bfs.run ~faults:Faults.none g ~root:0 in
-  let d2, s2 = Bfs.run ~faults:inert_plan g ~root:0 in
+  let (d0, s0), t0 = traced (fun trace -> Bfs.run ~trace g ~root:0) in
+  let (d1, s1), t1 =
+    traced (fun trace -> Bfs.run ~trace ~faults:Faults.none g ~root:0)
+  in
+  let (d2, s2), t2 =
+    traced (fun trace -> Bfs.run ~trace ~faults:inert_plan g ~root:0)
+  in
   check "bfs states, zero plan" true (d0 = d1);
   check "bfs stats, zero plan" true (stats_equal s0 s1);
+  check "bfs trace, zero plan" true (t0 = t1);
   check "bfs states, inert plan" true (d0 = d2);
   check "bfs stats, inert plan" true (stats_equal s0 s2);
+  check "bfs trace, inert plan" true (t0 = t2);
   (* SSSP (floats exercise multi-word payloads through the queue path) *)
   let w = Graph.random_weights ~state:(Rng.algo 3) g in
-  let r0 = Sssp.bellman_ford g w ~source:0 in
-  let r2 = Sssp.bellman_ford ~faults:inert_plan g w ~source:0 in
+  let r0, t0 = traced (fun trace -> Sssp.bellman_ford ~trace g w ~source:0) in
+  let r2, t2 =
+    traced (fun trace ->
+        Sssp.bellman_ford ~trace ~faults:inert_plan g w ~source:0)
+  in
   check "sssp dist, inert plan" true (r0.Sssp.dist = r2.Sssp.dist);
   check "sssp stats, inert plan" true (stats_equal r0.Sssp.stats r2.Sssp.stats);
+  check "sssp trace, inert plan" true (t0 = t2);
   (* leader election (multi-stage composition) *)
-  let l0 = Leader.elect g and l2 = Leader.elect ~faults:inert_plan g in
+  let l0, t0 = traced (fun trace -> Leader.elect ~trace g) in
+  let l2, t2 = traced (fun trace -> Leader.elect ~trace ~faults:inert_plan g) in
   check "leader, inert plan" true
     (l0.Leader.leader = l2.Leader.leader
     && l0.Leader.n_estimate = l2.Leader.n_estimate
     && l0.Leader.d_estimate = l2.Leader.d_estimate
     && stats_equal l0.Leader.stats l2.Leader.stats);
+  check "leader trace, inert plan" true (t0 = t2);
   (* MST through aggregation phases *)
   let mw = Graph.random_weights ~state:(Rng.algo 5) g in
   let m0 = Mst.boruvka ~constructor:Mst.no_shortcut_constructor g mw in

@@ -1,8 +1,9 @@
-(* Tests for the v2 CONGEST executor itself: the edge-indexed message
-   fabric (duplicate-send / non-neighbor / bandwidth enforcement), the
-   active-node worklist (quiescent nodes are skipped, mail reactivates
-   them), and a property check of the distributed BFS against the
-   centralized traversal. *)
+(* Tests for the CONGEST executor itself: the edge-indexed message
+   fabric (duplicate-send / non-neighbor / bandwidth enforcement, and its
+   delivery contract on random multigraph streams), the active-node
+   worklist (quiescent nodes are skipped, mail reactivates them), and a
+   property check of the distributed BFS against the centralized
+   traversal. *)
 
 open Graphlib
 module N = Congest.Network
@@ -66,6 +67,92 @@ let test_non_neighbor () =
   Alcotest.check_raises "no such edge"
     (Invalid_argument "Congest: send to a non-neighbor (round 1, 0 -> 3)")
     (fun () -> ignore (N.run g algo))
+
+(* ---------- the delivery contract ---------- *)
+
+(* round 1: every node broadcasts its id with send_all; round 2: it sends
+   its id to each neighbour with send; every step records its inbox as
+   (sender, word 0) pairs, newest first *)
+type probe = { inboxes : (int * int) array list; steps : int }
+
+let probe =
+  {
+    N.init = (fun _ _ -> { inboxes = []; steps = 0 });
+    step =
+      (fun ctx st ->
+        let v = N.node ctx in
+        let inbox =
+          Array.init (N.inbox_size ctx) (fun i ->
+              (N.inbox_sender ctx i, N.inbox_word ctx i 0))
+        in
+        (match N.round ctx with
+        | 1 -> N.send_all ctx [| v |]
+        | 2 -> Graph.iter_adj (N.graph ctx) v (fun w _ -> N.send ctx w [| v |])
+        | _ -> ());
+        { inboxes = inbox :: st.inboxes; steps = st.steps + 1 });
+    finished = (fun st -> st.steps >= 3);
+  }
+
+(* every inbox after round 1 lists exactly v's neighbours in strictly
+   descending id (neighbour ids are unique), each message carrying its
+   sender; each directed edge carries one message per round, so the trace
+   reads 4m messages and a busiest-edge load of 2; the α-synchronizer
+   under Pareto latency lands in the same states and rounds *)
+let fabric_contract g =
+  let trace = Congest.Trace.create g in
+  let states, stats = N.run ~trace g probe in
+  let inboxes_ok v st =
+    let nbrs = Graph.neighbors g v in
+    Array.sort (fun a b -> Int.compare b a) nbrs;
+    let expected = Array.map (fun w -> (w, w)) nbrs in
+    match st.inboxes with
+    | [ r3; r2; r1 ] -> r1 = [||] && r2 = expected && r3 = expected
+    | _ -> false
+  in
+  let m = Graph.m g in
+  let spec =
+    Asynch.Latency.make ~seed:17 (Asynch.Latency.Pareto { alpha = 1.5; xmin = 0.5 })
+  in
+  let (async_states, async_stats), _ =
+    Asynch.Synchronizer.with_substrate ~spec (fun () -> N.run g probe)
+  in
+  stats.N.converged && stats.N.rounds = 3
+  && Array.for_all Fun.id (Array.mapi inboxes_ok states)
+  && Congest.Trace.messages trace = 4 * m
+  && Congest.Trace.max_edge_load trace = (if m = 0 then 0 else 2)
+  && async_states = states
+  && async_stats.N.rounds = stats.N.rounds
+
+(* a raw builder stream over n vertices: several components (edges stay
+   inside one of up to four residue classes), a few trailing isolated
+   vertices, self-loops, and duplicates in both orientations *)
+let raw_multigraph seed =
+  let st = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int st 40 in
+  let live = max 1 (n - Random.State.int st 3) in
+  let classes = 1 + Random.State.int st 4 in
+  let b = Graph.Builder.create n in
+  for _ = 1 to Random.State.int st (4 * n) do
+    let u = Random.State.int st live in
+    let c = u mod classes in
+    let v = c + (classes * Random.State.int st (((live - 1 - c) / classes) + 1)) in
+    Graph.Builder.add_edge b u v;
+    match Random.State.int st 6 with
+    | 0 | 1 -> Graph.Builder.add_edge b v u
+    | 2 -> Graph.Builder.add_edge b u v
+    | _ -> ()
+  done;
+  Graph.Builder.build b
+
+let prop_fabric_contract =
+  QCheck.Test.make ~name:"fabric delivery contract on raw multigraph streams"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed -> fabric_contract (raw_multigraph seed))
+
+let test_fabric_contract_fixed () =
+  check "edgeless graph" true (fabric_contract (Graph.of_edges 6 []));
+  check "70-leaf star" true (fabric_contract (Generators.star 71))
 
 (* ---------- activity tracking ---------- *)
 
@@ -174,7 +261,10 @@ let () =
             test_bandwidth_violation;
           Alcotest.test_case "duplicate send raises" `Quick test_duplicate_send;
           Alcotest.test_case "non-neighbor send raises" `Quick test_non_neighbor;
-        ] );
+          Alcotest.test_case "delivery contract: edgeless, star" `Quick
+            test_fabric_contract_fixed;
+        ]
+        @ qsuite [ prop_fabric_contract ] );
       ( "activity",
         [
           Alcotest.test_case "quiescent nodes are skipped" `Quick
