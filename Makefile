@@ -131,9 +131,8 @@ bench-serve-check:
 	$(MAKE) bench-serve
 	./_build/default/tools/jsonl_check.exe \
 	  --require span,metrics,serve_query,serve_summary --min-spans 2 \
-	  --serve --max-p99 5000 /tmp/sv1-serve.jsonl
-	./_build/default/tools/jsonl_check.exe --ledger --require-serve \
-	  /tmp/sv1-ledger.jsonl
+	  --max-p99 5000 /tmp/sv1-serve.jsonl
+	./_build/default/tools/jsonl_check.exe --ledger /tmp/sv1-ledger.jsonl
 
 bench-asynch:
 	dune build bench/main.exe tools/jsonl_check.exe
@@ -159,10 +158,8 @@ bench-asynch-check:
 	diff /tmp/as1-j1.out /tmp/as1-j2.out
 	diff /tmp/as1-j1.out /tmp/as1-j4.out
 	./_build/default/tools/jsonl_check.exe \
-	  --require span,metrics,asynch_summary --min-spans 2 \
-	  --asynch /tmp/as1.jsonl
-	./_build/default/tools/jsonl_check.exe --ledger --require-asynch \
-	  /tmp/as1-ledger.jsonl
+	  --require span,metrics,asynch_summary --min-spans 2 /tmp/as1.jsonl
+	./_build/default/tools/jsonl_check.exe --ledger /tmp/as1-ledger.jsonl
 
 # fault-injection determinism gate: the R-series robustness experiment runs
 # its whole fault schedule from named seeded streams, so two runs at the
@@ -199,8 +196,7 @@ bench-scale-check:
 	  /tmp/s1-scale.out | diff test/expected/S1.out -
 	./_build/default/tools/jsonl_check.exe --require span,metrics,scale \
 	  --min-spans 3 /tmp/s1-scale.jsonl
-	./_build/default/tools/jsonl_check.exe --ledger --require-scale \
-	  /tmp/s1-ledger.jsonl
+	./_build/default/tools/jsonl_check.exe --ledger /tmp/s1-ledger.jsonl
 
 clean:
 	dune clean

@@ -6,7 +6,6 @@
      dune exec bench/main.exe -- --only E1      -- one experiment
      dune exec bench/main.exe -- --list         -- list experiments
      dune exec bench/main.exe -- --no-timing    -- skip the bechamel timing suite
-     dune exec bench/main.exe -- --json out.json -- also write rows + traces as JSON
      dune exec bench/main.exe -- --jsonl out.jsonl -- stream spans/metrics/rows/
                                                       trace summaries as JSONL events
      dune exec bench/main.exe -- --full-trace   -- include per-round series in
@@ -45,15 +44,10 @@ module W = Serve.Workload
 module Sv = Serve.Server
 module L = Serve.Loadgen
 
-(* --json sink: every quality row and trace summary an experiment prints is
-   also recorded here and written out at exit when --json was given.  Records
-   are structured [Obs.Sink.json] values rendered by the shared encoder, so
-   string fields (section titles, labels) escape correctly — OCaml's [%S]
-   emits decimal [\ddd] escapes, which are not JSON. *)
-let json_records : Obs.Sink.json list ref = ref []
+(* the section title printed last: every recorded event carries it *)
 let current_section = ref ""
 
-(* --full-trace: include the per-round series in every trace record/event *)
+(* --full-trace: include the per-round series in every trace event *)
 let full_trace = ref false
 
 (* --no-breakdown suppresses the per-experiment span timing tables and the
@@ -66,13 +60,10 @@ let section title =
 
 let subsection title = Printf.printf "\n-- %s --\n%!" title
 
-(* record one document both in the --json array (with a "type" field) and,
-   when a --jsonl sink is installed, as a sink event of the same type *)
+(* record one document as a --jsonl sink event, when a sink is installed *)
 let record ~type_ fields =
-  let fields = ("section", Obs.Sink.String !current_section) :: fields in
-  json_records :=
-    Obs.Sink.Obj (("type", Obs.Sink.String type_) :: fields) :: !json_records;
-  if Obs.Sink.enabled () then Obs.Sink.emit ~type_ fields
+  if Obs.Sink.enabled () then
+    Obs.Sink.emit ~type_ (("section", Obs.Sink.String !current_section) :: fields)
 
 let record_row r =
   record ~type_:"quality"
@@ -124,24 +115,6 @@ let record_trace ~label tr =
   exp_messages := !exp_messages + s.Core.Trace.messages;
   exp_words := !exp_words + s.Core.Trace.words;
   exp_max_edge_load := max !exp_max_edge_load s.Core.Trace.max_edge_load;
-  let data =
-    if !full_trace then
-      match Core.Trace.summary_json s with
-      | Obs.Sink.Obj fields ->
-          Obs.Sink.Obj (fields @ [ ("per_round", Core.Trace.per_round_to_json tr) ])
-      | other -> other
-    else Core.Trace.summary_json s
-  in
-  json_records :=
-    Obs.Sink.Obj
-      [
-        ("type", Obs.Sink.String "trace");
-        ("section", Obs.Sink.String !current_section);
-        ("label", Obs.Sink.String label);
-        ("data", data);
-      ]
-    :: !json_records;
-  (* same summary as a first-class sink event *)
   Core.Trace.emit ~label ~full:!full_trace tr
 
 let print_rows rows =
@@ -160,7 +133,7 @@ let agg_rounds ?trace sc = Core.Aggregate.rounds_for_parts ?trace sc ~seed:11
 (* --jobs N: each experiment below declares its parameter sweep as a list of
    independent cells and maps it through a domain pool.  Cells carry their
    own seeds and return data — rows, traces, preformatted lines; printing
-   and --json/--jsonl recording happen back on this domain, in canonical
+   and --jsonl recording happen back on this domain, in canonical
    cell order, so stdout and record order are byte-identical whatever the
    job count (the determinism contract in DESIGN.md section 9). *)
 let pool : Exec.Pool.t option ref = ref None
@@ -1294,8 +1267,8 @@ let r1 () =
 
 (* process CPU time (user + system, all domains) in ms.  Less noisy than
    wall clock on a shared machine, though memory-bound experiments still
-   wobble with co-tenant bandwidth contention — bench_diff sizes its time
-   thresholds to that residual noise. *)
+   wobble with co-tenant bandwidth contention — the ledger's time bounds
+   (Obs.Ledger) are sized to that residual noise. *)
 let cpu_ms_now () =
   let t = Unix.times () in
   (t.Unix.tms_utime +. t.Unix.tms_stime) *. 1000.0
@@ -1432,9 +1405,12 @@ let sv1 () =
     fleet;
   let run_load p =
     let server = Sv.create ~config:cfg p in
-    (* cold: construction caches dropped first; warm: the identical
-       schedule replayed against a hot cache *)
+    (* cold: construction caches dropped and the heap collected first, so
+       the quantiles time serving, not the reclamation of earlier
+       experiments' garbage (S1 leaves ~0.8 GB to free); warm: the
+       identical schedule replayed against a hot cache *)
     Memo.clear ();
+    Gc.full_major ();
     let cold, _ = L.run_phase ~name:"cold" ~server ~events in
     let warm, _ = L.run_phase ~name:"warm" ~server ~events in
     (server, cold, warm)
@@ -1682,8 +1658,9 @@ let experiments =
    ledger (BENCH_LEDGER.jsonl); --rev/--date stamp the entry (the Makefile
    passes the git rev).  An entry collects per-experiment wall time, span
    totals/self times and Gc.minor_words deltas, plus the steady-state
-   CONGEST allocation probes.  Alloc numbers live here and in the
-   breakdown block, never in deterministic stdout. *)
+   CONGEST allocation probes; Obs.Ledger validates it before it is
+   appended.  Alloc numbers live here and in the breakdown block, never
+   in deterministic stdout. *)
 let ledger_file = ref None
 let ledger_rev = ref "local"
 let ledger_date = ref None
@@ -1884,7 +1861,6 @@ let () =
     find args
   in
   let only = value_of "--only" in
-  let json_path = value_of "--json" in
   let jsonl_path = value_of "--jsonl" in
   ledger_file := value_of "--ledger";
   (match value_of "--rev" with Some r -> ledger_rev := r | None -> ());
@@ -1902,6 +1878,12 @@ let () =
   full_trace := has "--full-trace";
   no_breakdown := has "--no-breakdown";
   if has "--no-cache" then Memo.set_enabled false;
+  (match only with
+  | Some o when not (List.exists (fun (id, _, _) -> id = o) experiments) ->
+      Printf.eprintf "bench: unknown experiment %S; valid ids: %s\n" o
+        (String.concat " " (List.map (fun (id, _, _) -> id) experiments));
+      exit 2
+  | _ -> ());
   if has "--list" then
     List.iter (fun (id, desc, _) -> Printf.printf "%-4s %s\n" id desc) experiments
   else begin
@@ -1960,7 +1942,7 @@ let () =
         let entry =
           Obs.Sink.Obj
             [
-              ("schema", Obs.Sink.String "bench-ledger/v2");
+              ("schema", Obs.Sink.String Obs.Ledger.schema);
               ("rev", Obs.Sink.String !ledger_rev);
               ("date", Obs.Sink.String date);
               ("blessed", Obs.Sink.Bool false);
@@ -1988,23 +1970,13 @@ let () =
               ("asynch", !asynch_section);
             ]
         in
-        let oc =
-          open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
-        in
-        output_string oc (Obs.Sink.to_string entry);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "appended ledger entry (rev %s, %s) to %s\n" !ledger_rev
-          date path
-    | None -> ());
-    (match json_path with
-    | Some path ->
-        let oc = open_out path in
-        let records = List.rev !json_records in
-        Printf.fprintf oc "[\n%s\n]\n"
-          (String.concat ",\n" (List.map Obs.Sink.to_string records));
-        close_out oc;
-        Printf.printf "wrote %d records to %s\n" (List.length records) path
+        (match Obs.Ledger.append path entry with
+        | Ok () ->
+            Printf.printf "appended ledger entry (rev %s, %s) to %s\n"
+              !ledger_rev date path
+        | Error problems ->
+            List.iter (Printf.eprintf "bench: ledger entry: %s\n") problems;
+            exit 2)
     | None -> ());
     (match (sink, jsonl_path) with
     | Some s, Some path ->

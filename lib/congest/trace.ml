@@ -193,8 +193,6 @@ let summary_fields s =
   @ (if s.delayed > 0 then [ ("delayed", Obs.Sink.Int s.delayed) ] else [])
   @ if s.retried > 0 then [ ("retried", Obs.Sink.Int s.retried) ] else []
 
-let summary_json s = Obs.Sink.Obj (summary_fields s)
-
 let per_round_to_json t =
   Obs.Sink.Obj
     ([

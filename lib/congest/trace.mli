@@ -102,10 +102,6 @@ val summary_to_string : summary -> string
     Fault counters ([dropped=..] etc.) are appended only when nonzero, so
     clean-run lines are byte-identical to the pre-fault-layer format. *)
 
-val summary_json : summary -> Obs.Sink.json
-(** The summary as a structured JSON value, for embedding into larger
-    documents or sink events. *)
-
 val per_round_to_json : t -> Obs.Sink.json
 (** [{"messages": [...], "words": [...], "max_edge_load": [...]}] — the
     per-round series as one JSON object; the fault series (dropped,

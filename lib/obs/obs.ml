@@ -28,6 +28,7 @@ module Metrics = Metrics
 module Gcstat = Gcstat
 module Export = Export
 module Rusage = Rusage
+module Ledger = Ledger
 
 let reset_all () =
   Span.reset ();

@@ -1,443 +1,161 @@
-(* Validate a JSONL observability stream (bench --jsonl / shortcuts-cli
-   --trace output): every line must parse as a JSON object with a "type"
-   field, the required event types must be present, and span events must
-   cover a minimum number of distinct construction phases.
+(* Validate a JSONL event stream (bench --jsonl, shortcuts-cli --trace) or,
+   with --ledger, a bench ledger.
 
-     jsonl_check out.jsonl
-     jsonl_check --require span,metrics,quality,trace_summary --min-spans 4 out.jsonl
+     jsonl_check [--require T1,T2] [--min-spans N] [--max-p99 MS] FILE
+     jsonl_check --ledger FILE
 
-   With --ledger the file is a bench ledger (BENCH_LEDGER.jsonl) instead:
-   every line must carry the versioned schema tag, a rev and an ISO date
-   (dates non-decreasing down the file), and an experiments list whose
-   entries have at least an id and a wall time.
+   A stream passes when every line is an object with a "type", spans are
+   named, serve_query events are well-formed, serve_summary and
+   asynch_summary events follow the ledger's row rules (Obs.Ledger), every
+   --require type occurs (default span,metrics,quality,trace_summary),
+   spans have at least --min-spans distinct names (default 4) and no
+   serve_summary p99 exceeds --max-p99.  A ledger passes when every entry
+   follows Obs.Ledger's table and dates never go backwards.  Exit 0 when
+   all checks hold, 1 on problems, 2 on a bad command line or file. *)
 
-     jsonl_check --ledger BENCH_LEDGER.jsonl
+module J = Obs.Sink
 
-   With --serve the event stream must additionally carry valid serving
-   records: well-formed "serve_query" latency events (non-negative seq and
-   latency, graph/kind labels) and at least one "serve_summary" whose
-   quantiles are ordered; --max-p99 MS bounds every summary's p99 (the
-   sanity bound of `make bench-serve-check`, sized far above steady-state
-   so only a pathological server trips it).  In ledger mode,
-   --require-serve demands a "serve" section with numeric qps and
-   p50/p99 in the latest entry (earlier entries may predate serving).
+let die fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("jsonl_check: " ^ m);
+      exit 2)
+    fmt
 
-     jsonl_check --serve --max-p99 5000 serve.jsonl
-     jsonl_check --ledger --require-serve BENCH_LEDGER.jsonl
+let str k j = Option.bind (J.member k j) J.string_value
+let num k j = Option.bind (J.member k j) J.float_value
 
-   In ledger mode, --require-scale demands a "scale" section (the S1
-   million-node run) in the latest entry, and any entry carrying one must
-   have a families list whose members carry the family name plus numeric
-   build/BFS/MST phase walls, cpu, minor words and peak RSS.
-
-     jsonl_check --ledger --require-scale /tmp/s1-ledger.jsonl
-
-   With --asynch the event stream must carry at least one well-formed
-   "asynch_summary" (string label/model, non-negative sim_time, counts),
-   and in ledger mode --require-asynch demands an "asynch" section (the
-   AS1 latency-model sweep) in the latest entry; any entry carrying one
-   must have non-empty rows with per-cell counts and a numeric wall_ms.
-
-     jsonl_check --asynch /tmp/as1.jsonl
-     jsonl_check --ledger --require-asynch /tmp/as1-ledger.jsonl
-
-   Exit status 0 iff all checks hold; wired into `make bench-smoke`,
-   `make bench-serve-check` and `make bench-regress-check`. *)
-
-let default_required = [ "span"; "metrics"; "quality"; "trace_summary" ]
-let ledger_schema = "bench-ledger/v2"
-
-let numeric name j =
-  match Obs.Sink.member name j with
-  | Some (Obs.Sink.Float f) -> Some f
-  | Some (Obs.Sink.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-(* the serve section / serve_summary payload share a shape; [where] labels
-   the error messages; [fail] consumes one pre-formatted message *)
-let check_serve_shape ~fail ~where j =
-  (match numeric "qps" j with
-  | Some q when q > 0.0 -> ()
-  | Some q -> fail (Printf.sprintf "%s: qps %g not positive" where q)
-  | None -> fail (Printf.sprintf "%s: no numeric \"qps\"" where));
-  match (numeric "p50_ms" j, numeric "p99_ms" j) with
-  | Some p50, Some p99 ->
-      if p50 < 0.0 then fail (Printf.sprintf "%s: negative p50_ms" where);
-      if p99 < p50 then
-        fail (Printf.sprintf "%s: p99_ms %g below p50_ms %g" where p99 p50)
-  | _ -> fail (Printf.sprintf "%s: missing numeric p50_ms/p99_ms" where)
-
-let is_iso_date s =
-  String.length s = 10
-  && String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s
-  && s.[4] = '-'
-  && s.[7] = '-'
-
-(* one S1 family record inside the ledger's scale section *)
-let check_scale_family ~fail ~where j =
-  (match Option.bind (Obs.Sink.member "family" j) Obs.Sink.string_value with
-  | Some _ -> ()
-  | None -> fail (Printf.sprintf "%s: no string \"family\"" where));
+(* problems are (line, message); line 0 is about the whole file *)
+let finish file ok problems =
   List.iter
-    (fun k ->
-      match numeric k j with
-      | Some v when v >= 0.0 -> ()
-      | Some v -> fail (Printf.sprintf "%s: negative %s %g" where k v)
-      | None -> fail (Printf.sprintf "%s: no numeric %S" where k))
-    [ "build_ms"; "bfs_ms"; "mst_ms"; "cpu_ms"; "minor_words"; "max_rss_kb" ]
-
-let check_scale_section ~fail j =
-  (match Option.bind (Obs.Sink.member "mst_strategy" j) Obs.Sink.string_value with
-  | Some _ -> ()
-  | None -> fail "scale section: no string \"mst_strategy\"");
-  match Obs.Sink.member "families" j with
-  | Some (Obs.Sink.List fams) ->
-      if fams = [] then fail "scale section: empty families list";
-      List.iteri
-        (fun i f ->
-          check_scale_family ~fail
-            ~where:(Printf.sprintf "scale.families[%d]" i)
-            f)
-        fams
-  | _ -> fail "scale section: no \"families\" list"
-
-(* shared shape of an asynch_summary event and an asynch-section row: the
-   latency-model labels plus the deterministic counters *)
-let check_asynch_shape ~fail ~where j =
-  List.iter
-    (fun k ->
-      match Option.bind (Obs.Sink.member k j) Obs.Sink.string_value with
-      | Some _ -> ()
-      | None -> fail (Printf.sprintf "%s: no string %S" where k))
-    [ "label"; "model" ];
-  (match numeric "sim_time" j with
-  | Some t when t >= 0.0 -> ()
-  | Some t -> fail (Printf.sprintf "%s: negative sim_time %g" where t)
-  | None -> fail (Printf.sprintf "%s: no numeric \"sim_time\"" where));
-  List.iter
-    (fun k ->
-      match Obs.Sink.member k j with
-      | Some (Obs.Sink.Int v) when v >= 0 -> ()
-      | Some (Obs.Sink.Int v) ->
-          fail (Printf.sprintf "%s: negative %s %d" where k v)
-      | _ -> fail (Printf.sprintf "%s: no int %S" where k))
-    [ "rounds"; "data_msgs"; "ctrl_msgs"; "events"; "queue_hwm" ]
-
-let check_asynch_section ~fail j =
-  (match numeric "wall_ms" j with
-  | Some w when w >= 0.0 -> ()
-  | Some w -> fail (Printf.sprintf "asynch section: negative wall_ms %g" w)
-  | None -> fail "asynch section: no numeric \"wall_ms\"");
-  match Obs.Sink.member "rows" j with
-  | Some (Obs.Sink.List rows) ->
-      if rows = [] then fail "asynch section: empty rows list";
-      List.iteri
-        (fun i r ->
-          check_asynch_shape ~fail
-            ~where:(Printf.sprintf "asynch.rows[%d]" i)
-            r)
-        rows
-  | _ -> fail "asynch section: no \"rows\" list"
-
-let check_ledger ~require_serve ~require_scale ~require_asynch file =
-  let ic = open_in file in
-  let lineno = ref 0 in
-  let entries = ref 0 in
-  let errors = ref 0 in
-  let last_date = ref "" in
-  let last_had_serve = ref false in
-  let last_had_scale = ref false in
-  let last_had_asynch = ref false in
-  let err fmt =
-    Printf.ksprintf
-      (fun msg ->
-        incr errors;
-        Printf.eprintf "%s:%d: %s\n" file !lineno msg)
-      fmt
-  in
-  let str name j = Option.bind (Obs.Sink.member name j) Obs.Sink.string_value in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then
-         match Obs.Sink.parse line with
-         | Error e -> err "parse error: %s" e
-         | Ok j ->
-             incr entries;
-             (match str "schema" j with
-             | Some s when s = ledger_schema -> ()
-             | Some s -> err "schema %S, expected %S" s ledger_schema
-             | None -> err "entry without a \"schema\" field");
-             (match str "rev" j with
-             | Some _ -> ()
-             | None -> err "entry without a \"rev\" field");
-             (match str "date" j with
-             | Some d when is_iso_date d ->
-                 (* ISO dates compare lexicographically *)
-                 if d < !last_date then
-                   err "date %s precedes %s on an earlier line (ledger must \
-                        be append-only)"
-                     d !last_date
-                 else last_date := d
-             | Some d -> err "malformed date %S (want YYYY-MM-DD)" d
-             | None -> err "entry without a \"date\" field");
-             (match Obs.Sink.member "total_ms" j with
-             | Some (Obs.Sink.Float _ | Obs.Sink.Int _) -> ()
-             | _ -> err "entry without a numeric \"total_ms\"");
-             (match Obs.Sink.member "experiments" j with
-             | Some (Obs.Sink.List exps) ->
-                 List.iteri
-                   (fun i e ->
-                     if str "id" e = None then
-                       err "experiments[%d] has no \"id\"" i
-                     else if Obs.Sink.member "wall_ms" e = None then
-                       err "experiments[%d] has no \"wall_ms\"" i)
-                   exps
-             | _ -> err "entry without an \"experiments\" list");
-             (* "serve" is optional (entries predating the query server, or
-                runs whose --only filter skipped SV1, carry Null) but must be
-                well-formed when present *)
-             (match Obs.Sink.member "serve" j with
-             | Some (Obs.Sink.Obj _ as sv) ->
-                 last_had_serve := true;
-                 check_serve_shape ~fail:(fun m -> err "%s" m)
-                   ~where:"serve section" sv;
-                 (match numeric "reject_rate" sv with
-                 | Some r when r >= 0.0 && r <= 1.0 -> ()
-                 | Some r -> err "serve section: reject_rate %g outside [0,1]" r
-                 | None -> err "serve section: no numeric \"reject_rate\"")
-             | _ -> last_had_serve := false);
-             (* "scale" is likewise optional (runs whose --only filter
-                skipped S1 carry Null) but must be well-formed when
-                present *)
-             (match Obs.Sink.member "scale" j with
-             | Some (Obs.Sink.Obj _ as sc) ->
-                 last_had_scale := true;
-                 check_scale_section ~fail:(fun m -> err "%s" m) sc
-             | _ -> last_had_scale := false);
-             (* "asynch" is likewise optional (runs whose --only filter
-                skipped AS1 carry Null) but must be well-formed when
-                present *)
-             (match Obs.Sink.member "asynch" j with
-             | Some (Obs.Sink.Obj _ as a) ->
-                 last_had_asynch := true;
-                 check_asynch_section ~fail:(fun m -> err "%s" m) a
-             | _ -> last_had_asynch := false)
-     done
-   with End_of_file -> ());
-  close_in ic;
-  if !entries = 0 then begin
-    incr errors;
-    Printf.eprintf "%s: empty ledger\n" file
-  end
+    (fun (n, m) ->
+      if n > 0 then Printf.eprintf "%s:%d: %s\n" file n m
+      else Printf.eprintf "%s: %s\n" file m)
+    problems;
+  if problems = [] then print_endline ok
   else begin
-    if require_serve && not !last_had_serve then begin
-      incr errors;
-      Printf.eprintf "%s: latest entry has no \"serve\" section (SV1 did \
-                      not run?)\n"
-        file
-    end;
-    if require_scale && not !last_had_scale then begin
-      incr errors;
-      Printf.eprintf "%s: latest entry has no \"scale\" section (S1 did \
-                      not run?)\n"
-        file
-    end;
-    if require_asynch && not !last_had_asynch then begin
-      incr errors;
-      Printf.eprintf "%s: latest entry has no \"asynch\" section (AS1 did \
-                      not run?)\n"
-        file
-    end
-  end;
-  if !errors = 0 then begin
-    Printf.printf "%s: OK — %d ledger entries, schema %s, dates monotone\n"
-      file !entries ledger_schema;
-    exit 0
-  end
-  else begin
-    Printf.eprintf "%s: %d problem(s)\n" file !errors;
+    Printf.eprintf "%s: %d problem(s)\n" file (List.length problems);
     exit 1
   end
 
+let check_ledger file lines =
+  finish file
+    (Printf.sprintf "%s: OK — %d ledger entries, schema %s, dates monotone"
+       file (List.length lines) Obs.Ledger.schema)
+    (if lines = [] then [ (0, "empty ledger") ]
+     else Obs.Ledger.check_file lines)
+
+let serve_query j =
+  (match J.member "seq" j with
+  | Some (J.Int s) when s >= 0 -> []
+  | _ -> [ "no non-negative int \"seq\"" ])
+  @ (match num "latency_ms" j with
+    | Some l when l >= 0.0 -> []
+    | _ -> [ "no non-negative \"latency_ms\"" ])
+  @ List.filter_map
+      (fun k -> if str k j = None then Some ("no string " ^ k) else None)
+      [ "graph"; "kind" ]
+
+let check_events file lines ~required ~min_spans ~max_p99 =
+  let types = Hashtbl.create 8 and spans = Hashtbl.create 16 in
+  let event (l : Obs.Ledger.line) =
+    match l.json with
+    | Error e -> [ "parse error: " ^ e ]
+    | Ok j -> (
+        match str "type" j with
+        | None -> [ "event without a \"type\" field" ]
+        | Some t ->
+            Hashtbl.replace types t ();
+            let own =
+              match t with
+              | "span" -> (
+                  match str "name" j with
+                  | Some s ->
+                      Hashtbl.replace spans s ();
+                      []
+                  | None -> [ "no \"name\" field" ])
+              | "serve_query" -> serve_query j
+              | "serve_summary" -> (
+                  match num "p99_ms" j with
+                  | Some p when p > max_p99 ->
+                      [
+                        Printf.sprintf "p99_ms %g exceeds --max-p99 %g" p
+                          max_p99;
+                      ]
+                  | _ -> [])
+              | _ -> []
+            in
+            List.map
+              (fun m -> t ^ ": " ^ m)
+              (Obs.Ledger.check_event ~type_:t j @ own))
+  in
+  let per_line =
+    List.concat_map
+      (fun (l : Obs.Ledger.line) ->
+        List.map (fun m -> (l.lineno, m)) (event l))
+      lines
+  in
+  let absent =
+    List.filter_map
+      (fun t ->
+        if Hashtbl.mem types t then None
+        else Some (0, Printf.sprintf "no %S events" t))
+      required
+  in
+  let names = Hashtbl.fold (fun k () acc -> k :: acc) spans [] in
+  let few_spans =
+    if List.length names >= min_spans then []
+    else
+      [
+        ( 0,
+          Printf.sprintf "only %d distinct span names (need >= %d): %s"
+            (List.length names) min_spans
+            (String.concat ", " (List.sort String.compare names)) );
+      ]
+  in
+  finish file
+    (Printf.sprintf "%s: OK — %d lines, %d event types, %d distinct span phases"
+       file (List.length lines) (Hashtbl.length types) (List.length names))
+    (per_line @ absent @ few_spans)
+
 let () =
-  let required = ref default_required in
-  let min_spans = ref 4 in
-  let ledger = ref false in
-  let serve = ref false in
-  let asynch = ref false in
-  let require_serve = ref false in
-  let require_scale = ref false in
-  let require_asynch = ref false in
-  let max_p99 = ref infinity in
-  let file = ref None in
+  let ledger = ref false and file = ref None in
+  let required = ref [ "span"; "metrics"; "quality"; "trace_summary" ] in
+  let min_spans = ref 4 and max_p99 = ref infinity in
+  let number parse flag v =
+    match parse v with
+    | Some x -> x
+    | None -> die "%s expects a number, got %S" flag v
+  in
   let rec parse = function
+    | "--ledger" :: rest ->
+        ledger := true;
+        parse rest
     | "--require" :: v :: rest ->
         required := String.split_on_char ',' v;
         parse rest
     | "--min-spans" :: v :: rest ->
-        min_spans := int_of_string v;
-        parse rest
-    | "--ledger" :: rest ->
-        ledger := true;
-        parse rest
-    | "--serve" :: rest ->
-        serve := true;
-        parse rest
-    | "--require-serve" :: rest ->
-        require_serve := true;
-        parse rest
-    | "--require-scale" :: rest ->
-        require_scale := true;
-        parse rest
-    | "--asynch" :: rest ->
-        asynch := true;
-        parse rest
-    | "--require-asynch" :: rest ->
-        require_asynch := true;
+        min_spans := number int_of_string_opt "--min-spans" v;
         parse rest
     | "--max-p99" :: v :: rest ->
-        max_p99 := float_of_string v;
+        max_p99 := number float_of_string_opt "--max-p99" v;
         parse rest
+    | f :: _ when String.length f > 1 && f.[0] = '-' -> die "unknown option %s" f
     | f :: rest ->
         file := Some f;
         parse rest
     | [] -> ()
   in
-  parse (Array.to_list Sys.argv |> List.tl);
-  let required = !required and min_spans = !min_spans in
-  let file =
-    match !file with
-    | Some f -> f
-    | None ->
-        prerr_endline
-          "usage: jsonl_check [--require t1,t2] [--min-spans N] [--serve] \
-           [--asynch] [--max-p99 MS] [--ledger] [--require-serve] \
-           [--require-scale] [--require-asynch] FILE";
-        exit 2
-  in
-  if !ledger then
-    check_ledger ~require_serve:!require_serve ~require_scale:!require_scale
-      ~require_asynch:!require_asynch file;
-  let ic = open_in file in
-  let seen_types = Hashtbl.create 8 in
-  let span_names = Hashtbl.create 16 in
-  let summaries = ref 0 in
-  let lineno = ref 0 in
-  let errors = ref 0 in
-  let err fmt =
-    Printf.ksprintf
-      (fun msg ->
-        incr errors;
-        Printf.eprintf "%s:%d: %s\n" file !lineno msg)
-      fmt
-  in
-  let check_serve_query j =
-    (match Obs.Sink.member "seq" j with
-    | Some (Obs.Sink.Int s) when s >= 0 -> ()
-    | _ -> err "serve_query without a non-negative int \"seq\"");
-    (match numeric "latency_ms" j with
-    | Some l when l >= 0.0 -> ()
-    | Some l -> err "serve_query with negative latency_ms %g" l
-    | None -> err "serve_query without a numeric \"latency_ms\"");
-    List.iter
-      (fun k ->
-        match Option.bind (Obs.Sink.member k j) Obs.Sink.string_value with
-        | Some _ -> ()
-        | None -> err "serve_query without a string %S" k)
-      [ "graph"; "kind" ]
-  in
-  let asynch_summaries = ref 0 in
-  let check_asynch_summary j =
-    incr asynch_summaries;
-    let where =
-      match Option.bind (Obs.Sink.member "label" j) Obs.Sink.string_value with
-      | Some l -> Printf.sprintf "asynch_summary %S" l
-      | None -> "asynch_summary"
-    in
-    check_asynch_shape ~fail:(fun m -> err "%s" m) ~where j;
-    (* at least the spontaneous pulse must have been scheduled *)
-    match Obs.Sink.member "events" j with
-    | Some (Obs.Sink.Int 0) -> (
-        match Obs.Sink.member "rounds" j with
-        | Some (Obs.Sink.Int r) when r > 0 ->
-            err "%s: %d rounds but zero scheduler events" where r
-        | _ -> ())
-    | _ -> ()
-  in
-  let check_serve_summary j =
-    incr summaries;
-    let where =
-      match Option.bind (Obs.Sink.member "phase" j) Obs.Sink.string_value with
-      | Some p -> Printf.sprintf "serve_summary %S" p
-      | None -> "serve_summary"
-    in
-    check_serve_shape ~fail:(fun m -> err "%s" m) ~where j;
-    match numeric "p99_ms" j with
-    | Some p99 when p99 > !max_p99 ->
-        err "%s: p99_ms %g exceeds --max-p99 %g" where p99 !max_p99
-    | _ -> ()
-  in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then
-         match Obs.Sink.parse line with
-         | Error e -> err "parse error: %s" e
-         | Ok j -> (
-             match
-               Option.bind (Obs.Sink.member "type" j) Obs.Sink.string_value
-             with
-             | None -> err "event without a \"type\" field"
-             | Some t ->
-                 Hashtbl.replace seen_types t ();
-                 if t = "span" then (
-                   match
-                     Option.bind (Obs.Sink.member "name" j)
-                       Obs.Sink.string_value
-                   with
-                   | Some name -> Hashtbl.replace span_names name ()
-                   | None -> err "span event without a \"name\" field");
-                 if !serve then
-                   if t = "serve_query" then check_serve_query j
-                   else if t = "serve_summary" then check_serve_summary j;
-                 if !asynch && t = "asynch_summary" then
-                   check_asynch_summary j)
-     done
-   with End_of_file -> ());
-  close_in ic;
-  if !serve && !summaries = 0 then begin
-    incr errors;
-    Printf.eprintf "%s: --serve given but no \"serve_summary\" events\n" file
-  end;
-  if !asynch && !asynch_summaries = 0 then begin
-    incr errors;
-    Printf.eprintf "%s: --asynch given but no \"asynch_summary\" events\n" file
-  end;
-  List.iter
-    (fun t ->
-      if not (Hashtbl.mem seen_types t) then begin
-        incr errors;
-        Printf.eprintf "%s: no \"%s\" events\n" file t
-      end)
-    required;
-  let distinct_spans = Hashtbl.length span_names in
-  if distinct_spans < min_spans then begin
-    incr errors;
-    Printf.eprintf "%s: only %d distinct span names (need >= %d): %s\n" file
-      distinct_spans min_spans
-      (Hashtbl.fold (fun k () acc -> k :: acc) span_names []
-      |> List.sort String.compare |> String.concat ", ")
-  end;
-  if !errors = 0 then begin
-    Printf.printf
-      "%s: OK — %d lines, %d event types, %d distinct span phases\n" file
-      !lineno (Hashtbl.length seen_types) distinct_spans;
-    exit 0
-  end
-  else begin
-    Printf.eprintf "%s: %d problem(s)\n" file !errors;
-    exit 1
-  end
+  parse (List.tl (Array.to_list Sys.argv));
+  match !file with
+  | None ->
+      die
+        "usage: jsonl_check [--require T1,T2] [--min-spans N] [--max-p99 MS] \
+         FILE | jsonl_check --ledger FILE"
+  | Some file -> (
+      match Obs.Ledger.read file with
+      | Error e -> die "%s" e
+      | Ok lines when !ledger -> check_ledger file lines
+      | Ok lines ->
+          check_events file lines ~required:!required ~min_spans:!min_spans
+            ~max_p99:!max_p99)
