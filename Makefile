@@ -2,6 +2,10 @@
 
 all: build
 
+# the git rev and date every ledger entry is stamped with
+STAMP = --rev $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
+  --date $$(date -u +%Y-%m-%d)
+
 build:
 	dune build
 
@@ -48,8 +52,7 @@ bench-record:
 	dune build bench/main.exe tools/bench_diff.exe
 	./_build/default/bench/main.exe --no-timing --no-breakdown \
 	  --ledger BENCH_LEDGER.jsonl \
-	  --rev $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
-	  --date $$(date -u +%Y-%m-%d)
+	  $(STAMP)
 	./_build/default/tools/bench_diff.exe --trim BENCH_LEDGER.jsonl
 
 # promote the latest ledger entry to the regression-gate baseline — the
@@ -118,8 +121,7 @@ bench-serve:
 	rm -f /tmp/sv1-serve.jsonl /tmp/sv1-ledger.jsonl
 	./_build/default/bench/main.exe --only SV1 --no-timing --no-breakdown \
 	  --jsonl /tmp/sv1-serve.jsonl --ledger /tmp/sv1-ledger.jsonl \
-	  --rev $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
-	  --date $$(date -u +%Y-%m-%d)
+	  $(STAMP)
 
 # serving gate: a fixed-seed SV1 run must produce a well-formed latency
 # stream (every serve_query carries seq/graph/kind/latency, at least one
@@ -139,8 +141,7 @@ bench-asynch:
 	rm -f /tmp/as1.jsonl /tmp/as1-ledger.jsonl
 	./_build/default/bench/main.exe --only AS1 --no-timing --no-breakdown \
 	  --jsonl /tmp/as1.jsonl --ledger /tmp/as1-ledger.jsonl \
-	  --rev $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
-	  --date $$(date -u +%Y-%m-%d)
+	  $(STAMP)
 
 # asynchronous-executor gate: AS1's simulated times and message counts are
 # pure functions of (graph, algorithm, latency seed), so the run must be
@@ -189,8 +190,7 @@ bench-scale-check:
 	sh -c 'ulimit -v 8388608; exec timeout 600 ./_build/default/bench/main.exe \
 	  --only S1 --no-timing --no-breakdown --jsonl /tmp/s1-scale.jsonl \
 	  --ledger /tmp/s1-ledger.jsonl \
-	  --rev $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
-	  --date $$(date -u +%Y-%m-%d)' \
+	  $(STAMP)' \
 	  > /tmp/s1-scale.out
 	grep -v -e '^wrote [0-9]* events to ' -e '^appended ledger entry ' \
 	  /tmp/s1-scale.out | diff test/expected/S1.out -

@@ -813,7 +813,9 @@ let a1 () =
   let t = Sp.bfs_tree g (G.n g - 1) in
   let parts = P.of_list g path_parts in
   let _, curve = Core.Generic.construct_with_stats t parts in
-  List.iter (fun (k, q) -> Printf.printf "  kappa=%-5d q=%d\n" k q) curve;
+  List.iter
+    (fun p -> Printf.printf "  kappa=%-5d q=%d\n" p.Core.Generic.kappa p.Core.Generic.q)
+    curve;
   subsection "folding ablation: congestion with vs without compression";
   let cs =
     Core.Clique_sum.compose ~seed:2 ~k:2 ~shape:Core.Clique_sum.Path

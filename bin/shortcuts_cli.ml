@@ -32,16 +32,35 @@ let with_obs trace f =
           Printf.printf "wrote %d events to %s\n" n path)
         f
 
+(* Bad input — an unreadable or malformed file, a generator precondition —
+   is reported as "shortcuts-cli: <file>[:line]: <msg>" with exit 2, never
+   as cmdliner's internal error.  Each command body runs under [guard]. *)
+exception Bad_input of string
+
+let guard f =
+  try f () with
+  | Bad_input msg | Sys_error msg ->
+      Printf.eprintf "shortcuts-cli: %s\n%!" msg;
+      2
+
 (* --edge-list reads a headerless whitespace-separated edge list (the format
    SNAP-style corpora ship in) instead of the repo's "n m" header format;
    such files carry no weights, so the pipeline falls back to random ones *)
 let read_graph ?(edge_list = false) file =
   let g, w =
-    if edge_list then (Core.Io.read_edge_list file, None)
-    else Core.Io.read_file file
+    try
+      if edge_list then (Core.Io.read_edge_list file, None)
+      else Core.Io.read_file file
+    with Invalid_argument msg ->
+      (* "Io.<reader>: line N: what" becomes "FILE:N: what" *)
+      let located =
+        try Scanf.sscanf msg "Io.%_s@: line %d: %[^\n]" (Printf.sprintf "%s:%d: %s" file)
+        with Scanf.Scan_failure _ | End_of_file -> file ^ ": " ^ msg
+      in
+      raise (Bad_input located)
   in
   if not (Core.Traversal.is_connected g) then
-    failwith "input graph is not connected";
+    raise (Bad_input (file ^ ": input graph is not connected"));
   (g, w)
 
 let weights_of g = function
@@ -50,31 +69,43 @@ let weights_of g = function
 
 (* ---------- gen ---------- *)
 
+type family =
+  | Grid
+  | Apollonian
+  | Series_parallel
+  | Ktree
+  | Torus
+  | Wheel
+  | Lower_bound
+  | Lk
+  | Rmat
+
 let gen_families =
   [
-    "grid";
-    "apollonian";
-    "series-parallel";
-    "ktree";
-    "torus";
-    "wheel";
-    "lower-bound";
-    "lk";
-    "rmat";
+    ("grid", Grid);
+    ("apollonian", Apollonian);
+    ("series-parallel", Series_parallel);
+    ("ktree", Ktree);
+    ("torus", Torus);
+    ("wheel", Wheel);
+    ("lower-bound", Lower_bound);
+    ("lk", Lk);
+    ("rmat", Rmat);
   ]
 
-let gen no_cache family width height size k edge_factor seed pieces weighted out =
+let gen no_cache (name, family) width height size k edge_factor seed pieces weighted out =
+  guard @@ fun () ->
   if no_cache then Memo.set_enabled false;
-  let g =
+  let build () =
     match family with
-    | "grid" -> (Core.Generators.grid width height).Core.Generators.graph
-    | "apollonian" -> (Core.Generators.apollonian ~seed size).Core.Generators.graph
-    | "series-parallel" -> Core.Generators.series_parallel ~seed size
-    | "ktree" -> fst (Core.Generators.k_tree ~seed ~k size)
-    | "torus" -> Core.Generators.torus_grid width height
-    | "wheel" -> Core.Generators.cycle_with_apex size
-    | "lower-bound" -> fst (Core.Generators.lower_bound k)
-    | "lk" ->
+    | Grid -> (Core.Generators.grid width height).Core.Generators.graph
+    | Apollonian -> (Core.Generators.apollonian ~seed size).Core.Generators.graph
+    | Series_parallel -> Core.Generators.series_parallel ~seed size
+    | Ktree -> fst (Core.Generators.k_tree ~seed ~k size)
+    | Torus -> Core.Generators.torus_grid width height
+    | Wheel -> Core.Generators.cycle_with_apex size
+    | Lower_bound -> fst (Core.Generators.lower_bound k)
+    | Lk ->
         let ps =
           List.init pieces (fun i ->
               (Core.Almost_embeddable.make ~seed:(seed + i) ~width:20 ~height:10
@@ -84,12 +115,26 @@ let gen no_cache family width height size k edge_factor seed pieces weighted out
         in
         (Core.Clique_sum.compose ~seed ~k:3 ~shape:Core.Clique_sum.Random_tree ps)
           .Core.Clique_sum.graph
-    | "rmat" ->
+    | Rmat ->
         (* size rounds up to the next power of two: RMAT vertex ids are
            drawn from a 2^scale square *)
         let rec lg s = if 1 lsl s >= size then s else lg (s + 1) in
         Core.Generators.rmat ~seed ~scale:(lg 1) ~edge_factor ()
-    | f -> failwith ("unknown family: " ^ f ^ " (try: " ^ String.concat ", " gen_families ^ ")")
+  in
+  let g =
+    try build ()
+    with Invalid_argument msg ->
+      (* a generator precondition: name the flags that fed it *)
+      let flags =
+        match family with
+        | Grid | Torus -> Printf.sprintf "--width %d --height %d" width height
+        | Apollonian | Series_parallel | Wheel -> Printf.sprintf "--size %d" size
+        | Ktree -> Printf.sprintf "-k %d --size %d" k size
+        | Lower_bound -> Printf.sprintf "-k %d" k
+        | Lk -> Printf.sprintf "--pieces %d --seed %d" pieces seed
+        | Rmat -> Printf.sprintf "--size %d --edge-factor %d" size edge_factor
+      in
+      raise (Bad_input (Printf.sprintf "gen %s %s: %s" name flags msg))
   in
   let weights = if weighted then Some (Core.Graph.random_weights g) else None in
   (match out with
@@ -102,6 +147,7 @@ let gen no_cache family width height size k edge_factor seed pieces weighted out
 (* ---------- info ---------- *)
 
 let show_info no_cache edge_list file =
+  guard @@ fun () ->
   if no_cache then Memo.set_enabled false;
   let g, w = read_graph ~edge_list file in
   Printf.printf "n = %d\nm = %d\nweighted = %b\n" (Core.Graph.n g) (Core.Graph.m g)
@@ -123,6 +169,7 @@ let show_info no_cache edge_list file =
    job count (and a single trial prints exactly what it always did) *)
 
 let quality no_cache edge_list file nparts seed trials jobs trace_out =
+  guard @@ fun () ->
   if no_cache then Memo.set_enabled false;
   with_obs trace_out @@ fun () ->
   let g, _ = read_graph ~edge_list file in
@@ -190,6 +237,7 @@ let mst_local strategy g w =
   0
 
 let mst no_cache edge_list file algo trials jobs trace_out =
+  guard @@ fun () ->
   if no_cache then Memo.set_enabled false;
   with_obs trace_out @@ fun () ->
   let g, w = read_graph ~edge_list file in
@@ -248,6 +296,7 @@ let mst no_cache edge_list file algo trials jobs trace_out =
 (* ---------- mincut ---------- *)
 
 let mincut no_cache edge_list file trees seed trials jobs trace_out =
+  guard @@ fun () ->
   if no_cache then Memo.set_enabled false;
   with_obs trace_out @@ fun () ->
   let g, w = read_graph ~edge_list file in
@@ -294,8 +343,8 @@ let print_phase (s : Serve.Loadgen.phase_stats) =
     s.per_kind
 
 let serve_bench no_cache rate queries depth batch seed jobs trace_out =
+  guard @@ fun () ->
   if no_cache then Memo.set_enabled false;
-  if rate <= 0.0 then failwith "--rate must be positive";
   with_obs trace_out @@ fun () ->
   let events =
     Serve.Loadgen.schedule ~rate ~queries ~seed
@@ -331,6 +380,7 @@ type span_row = {
 }
 
 let report file chrome_out flame_out =
+  guard @@ fun () ->
   let module S = Obs.Sink in
   let spans : (string, span_row) Hashtbl.t = Hashtbl.create 64 in
   let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -558,16 +608,34 @@ let report file chrome_out flame_out =
 let file_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 
+(* counts and sizes must be positive: cmdliner then rejects 0 or a negative
+   value naming the flag, before any command runs *)
+let positive =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some x when x > 0 -> Ok x
+        | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))),
+      Format.pp_print_int )
+
+let positive_float =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some x when x > 0.0 && Float.is_finite x -> Ok x
+        | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive number" s))),
+      Format.pp_print_float )
+
 let trials_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "trials" ]
         ~doc:"Independent repetitions (seeded seed, seed+1, ...), reported in \
               trial order.")
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "j"; "jobs" ]
         ~doc:"Worker domains to spread trials over; output is identical to \
               --jobs 1.")
@@ -595,15 +663,20 @@ let trace_arg =
               summaries) to $(docv); inspect it with $(b,report).")
 
 let gen_cmd =
-  let family = Arg.(required & pos 0 (some string) None & info [] ~docv:"FAMILY") in
-  let width = Arg.(value & opt int 16 & info [ "width" ] ~doc:"Grid/torus width.") in
-  let height = Arg.(value & opt int 16 & info [ "height" ] ~doc:"Grid/torus height.") in
-  let size = Arg.(value & opt int 256 & info [ "n"; "size" ] ~doc:"Vertex count.") in
-  let k = Arg.(value & opt int 3 & info [ "k" ] ~doc:"k (ktree width / lower-bound p).") in
-  let edge_factor =
-    Arg.(value & opt int 8 & info [ "edge-factor" ] ~doc:"RMAT edges per vertex.")
+  let family =
+    Arg.(
+      required
+      & pos 0 (some (enum (List.map (fun (n, f) -> (n, (n, f))) gen_families))) None
+      & info [] ~docv:"FAMILY")
   in
-  let pieces = Arg.(value & opt int 6 & info [ "pieces" ] ~doc:"L_k piece count.") in
+  let width = Arg.(value & opt positive 16 & info [ "width" ] ~doc:"Grid/torus width.") in
+  let height = Arg.(value & opt positive 16 & info [ "height" ] ~doc:"Grid/torus height.") in
+  let size = Arg.(value & opt positive 256 & info [ "n"; "size" ] ~doc:"Vertex count.") in
+  let k = Arg.(value & opt positive 3 & info [ "k" ] ~doc:"k (ktree width / lower-bound p).") in
+  let edge_factor =
+    Arg.(value & opt positive 8 & info [ "edge-factor" ] ~doc:"RMAT edges per vertex.")
+  in
+  let pieces = Arg.(value & opt positive 6 & info [ "pieces" ] ~doc:"L_k piece count.") in
   let weighted = Arg.(value & flag & info [ "weighted" ] ~doc:"Attach random weights.") in
   let out = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE") in
   Cmd.v
@@ -616,7 +689,7 @@ let info_cmd =
     Term.(const show_info $ no_cache_arg $ edge_list_arg $ file_arg)
 
 let quality_cmd =
-  let nparts = Arg.(value & opt int 8 & info [ "parts" ] ~doc:"Voronoi part count.") in
+  let nparts = Arg.(value & opt positive 8 & info [ "parts" ] ~doc:"Voronoi part count.") in
   Cmd.v
     (Cmd.info "quality" ~doc:"Construct shortcuts and report b, c, q + rounds.")
     Term.(const quality $ no_cache_arg $ edge_list_arg $ file_arg $ nparts $ seed_arg $ trials_arg $ jobs_arg $ trace_arg)
@@ -638,7 +711,7 @@ let mst_cmd =
     Term.(const mst $ no_cache_arg $ edge_list_arg $ file_arg $ algo $ trials_arg $ jobs_arg $ trace_arg)
 
 let mincut_cmd =
-  let trees = Arg.(value & opt int 8 & info [ "trees" ] ~doc:"Sampled trees.") in
+  let trees = Arg.(value & opt positive 8 & info [ "trees" ] ~doc:"Sampled trees.") in
   Cmd.v
     (Cmd.info "mincut" ~doc:"Approximate min-cut; exact verification on small inputs.")
     Term.(const mincut $ no_cache_arg $ edge_list_arg $ file_arg $ trees $ seed_arg $ trials_arg $ jobs_arg $ trace_arg)
@@ -646,24 +719,24 @@ let mincut_cmd =
 let serve_bench_cmd =
   let rate =
     Arg.(
-      value & opt float 400.0
+      value & opt positive_float 400.0
       & info [ "rate" ] ~doc:"Offered load in queries per second.")
   in
   let queries =
     Arg.(
-      value & opt int 160
+      value & opt positive 160
       & info [ "queries" ] ~doc:"Queries per phase (cold, then warm).")
   in
   let depth =
     Arg.(
-      value & opt int 256
+      value & opt positive 256
       & info [ "depth" ]
           ~doc:"Admission queue depth; arrivals beyond it are shed and \
                 counted as rejected.")
   in
   let batch =
     Arg.(
-      value & opt int 64
+      value & opt positive 64
       & info [ "batch" ] ~doc:"Maximum queries per served batch.")
   in
   Cmd.v

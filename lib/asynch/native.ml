@@ -40,7 +40,6 @@ type 'st algo = {
 type report = {
   sim_time : float;
   msgs : int;
-  deliveries : int;
   events : int;
   queue_hwm : int;
   quiesced : bool;
@@ -59,7 +58,7 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
   let free = ref [] in
   let seq = ref 0 in
   let now = ref 0.0 in
-  let msgs = ref 0 and deliveries = ref 0 and events = ref 0 in
+  let msgs = ref 0 and events = ref 0 in
   let last_depart = Array.make (2 * m) 0.0 in
   let states = Array.init n (fun v -> algo.init g v) in
   let ctx = { g; node = -1; now = 0.0; emit = (fun _ _ -> ()) } in
@@ -133,7 +132,6 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
        | Some (t, idx) ->
            now := t;
            incr events;
-           incr deliveries;
            let dir = !dirs.(idx) in
            let payload = !pay.(idx) in
            !pay.(idx) <- [||];
@@ -150,7 +148,6 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
     {
       sim_time = !now;
       msgs = !msgs;
-      deliveries = !deliveries;
       events = !events;
       queue_hwm = EQ.high_water eq;
       quiesced = !quiesced;

@@ -33,7 +33,6 @@ type 'st algo = {
 type report = {
   sim_time : float;  (** time of the last delivery *)
   msgs : int;
-  deliveries : int;
   events : int;
   queue_hwm : int;
   quiesced : bool;  (** false iff the [max_events] rail stopped the run *)

@@ -50,39 +50,21 @@ let add_stats a b =
    cleared: steady-state rounds allocate no words at all.  Per-edge load
    is counted only by an attached trace; [stats] keeps run totals.
 
-   The fault layer (DESIGN.md section 11) is a strictly additive detour:
-   with a fault plan installed, accepted messages are not written into the
-   arena at send time but queued on a per-due-round bucket and materialized
-   into the arena at the start of their delivery round.  [last_due] makes
-   per-directed-edge delivery rounds strictly increasing, so a delayed
-   message can never share a slot (or a round) with a later one — the
-   CONGEST one-message-per-edge-direction-per-round invariant survives
-   arbitrary delay schedules.  With no plan installed ([faults = None])
-   every fault field is dead and the send path is the v3 fast path,
+   A deferred send (DESIGN.md sections 11 and 16) is the one detour,
+   taken under a live fault plan or a delivery hook: the arena write waits
+   for the delivery round, so capacity is enforced by a per-direction
+   [sent] stamp instead of the arena's round stamp.  The message then runs
+   the fault gauntlet — link down, Bernoulli drop, delay roll, in send
+   order — and a survivor is offered to [accept] with its extra delay.
+   [accept] queues it and may refuse it: the synchronous engine queues it
+   on its due-round bucket and refuses a receiver that is dead by then, a
+   hook hands it to the external executor.  With neither a plan nor a
+   hook ([defer = None]) the send path is the v3 fast path,
    allocation-free and branch-for-branch identical. *)
-type fstate = {
-  fs : Faults.state;
-  sent_round : int array;  (* per dir: last round a send was accepted *)
-  last_due : int array;  (* per dir: latest delivery round claimed *)
-  buckets : (int, (int * int * int array) list ref) Hashtbl.t;
-      (* due round -> (dir, receiver, payload copy), reverse push order *)
-  mutable in_flight : int;
-}
-
-(* Hook mode (DESIGN.md section 16): an external executor owns delivery.
-   Sends still run validation, fault gauntlet and accounting here, but
-   instead of landing in the arena they are handed to [h_send] — the
-   async scheduler samples a latency, queues the message, and later blits
-   it back via [Hook.deliver] with the pulse it belongs to.  [h_sent]
-   replaces the arena round stamp for duplicate detection (the arena
-   write is deferred, as in the fault path); [h_fs] is the hook's own
-   fault state — drop/link/delay fire at send time exactly like the sync
-   gauntlet, while receiver crashes are the executor's to enforce at
-   arrival, because only it knows the delivery time. *)
-type hook_state = {
-  h_send : dir:int -> dst:int -> delay_rounds:int -> payload:int array -> unit;
-  h_sent : int array;  (* per dir: last pulse a send was accepted *)
-  h_fs : Faults.state option;
+type deferred = {
+  fs : Faults.state option;  (* None: a hook without a live plan *)
+  sent : int array;  (* per dir: last round a send was made on it *)
+  accept : dir:int -> dst:int -> extra:int -> int array -> bool;
 }
 
 (* the directed slot of edge [e] leaving endpoint [u] *)
@@ -110,8 +92,7 @@ type ctx = {
   mutable delayed : int;
   mutable retried : int;
   trace : Trace.t option;
-  faults : fstate option;
-  hook : hook_state option;
+  defer : deferred option;
 }
 
 let node ctx = ctx.node
@@ -145,9 +126,23 @@ let err_bandwidth ctx w words =
         %d)"
        ctx.round ctx.node w words ctx.bandwidth)
 
-(* accepted-message accounting shared by every send path; the clean path
-   also writes the arena at send time, the fault and hook paths defer that
-   to the delivery round *)
+(* stamp [payload] into slot [dir] of the arena read at [round] *)
+let[@inline] write_slot ctx ~round dir payload =
+  let p = round land 1 in
+  let words = Array.length payload in
+  ctx.msg_round.(p).(dir) <- round;
+  ctx.msg_len.(p).(dir) <- words;
+  Array.blit payload 0 ctx.arena.(p) (dir * ctx.bandwidth) words
+
+(* register [w] on the coming round's receiver list, once *)
+let[@inline] add_recv ctx w =
+  if not ctx.has_mail.(w) then begin
+    ctx.has_mail.(w) <- true;
+    ctx.next_recv.(ctx.next_recv_n) <- w;
+    ctx.next_recv_n <- ctx.next_recv_n + 1
+  end
+
+(* accepted-message accounting shared by both send paths *)
 let account ctx dir words =
   ctx.messages <- ctx.messages + 1;
   ctx.words <- ctx.words + words;
@@ -163,94 +158,44 @@ let note_retry ctx =
   ctx.retried <- ctx.retried + 1;
   match ctx.trace with Some t -> Trace.on_retry t | None -> ()
 
-(* fault-path send: capacity is enforced by a per-dir send stamp (the arena
-   write is deferred, so its round stamp cannot serve), then the message
-   runs the gauntlet — link down, Bernoulli drop, delay roll, receiver
-   already crashed at the delivery round — and survivors are queued on
-   their due-round bucket.  Accounting happens at send time, exactly where
-   the clean path does it, so a zero-effect plan leaves every counter,
-   trace series and worklist byte-identical to a run with no plan. *)
-let deliver_faulty ctx f w dir payload =
+(* the deferred send: a message is counted once, at send time, exactly
+   where the fast path counts it — accepted (and delayed, if it was) or
+   dropped, lost on the link and refused alike *)
+let deliver_deferred ctx d w dir payload =
   let r = ctx.round in
   let words = Array.length payload in
-  if f.sent_round.(dir) = r then err_duplicate ctx w words;
+  if d.sent.(dir) = r then err_duplicate ctx w words;
   if words > ctx.bandwidth then err_bandwidth ctx w words;
-  f.sent_round.(dir) <- r;
-  let fs = f.fs in
-  if Faults.link_down fs ~edge:(dir / 2) ~round:r then note_drop ctx
-  else if Faults.drop_roll fs then note_drop ctx
-  else begin
-    let extra = Faults.delay_roll fs in
-    let due = max (r + 1 + extra) (f.last_due.(dir) + 1) in
-    let cw = Faults.crash_round fs w in
-    if cw >= 0 && due >= cw then
-      (* the receiver is dead by the time this message would arrive *)
-      note_drop ctx
-    else begin
-      account ctx dir words;
-      if extra > 0 then begin
-        ctx.delayed <- ctx.delayed + 1;
-        match ctx.trace with Some t -> Trace.on_delay t | None -> ()
-      end;
-      f.last_due.(dir) <- due;
-      let entry = (dir, w, Array.sub payload 0 words) in
-      (match Hashtbl.find_opt f.buckets due with
-      | Some l -> l := entry :: !l
-      | None -> Hashtbl.add f.buckets due (ref [ entry ]));
-      f.in_flight <- f.in_flight + 1
+  d.sent.(dir) <- r;
+  (* extra delivery rounds, or -1 for a message lost on the link *)
+  let extra =
+    match d.fs with
+    | None -> 0
+    | Some fs ->
+        if Faults.link_down fs ~edge:(dir / 2) ~round:r || Faults.drop_roll fs
+        then -1
+        else Faults.delay_roll fs
+  in
+  if extra >= 0 && d.accept ~dir ~dst:w ~extra payload then begin
+    account ctx dir words;
+    if extra > 0 then begin
+      ctx.delayed <- ctx.delayed + 1;
+      match ctx.trace with Some t -> Trace.on_delay t | None -> ()
     end
   end
-
-(* hook-mode send: validate and account exactly like the other paths,
-   then hand the surviving message to the external executor.  A crashed
-   receiver is *not* checked here — the sync gauntlet can, because it
-   knows the delivery round at send time; under the hook only the
-   executor knows when the message lands, so it performs the crash check
-   at arrival (and records the loss via [Hook.note_lost]). *)
-let deliver_hooked ctx hs w dir payload =
-  let r = ctx.round in
-  let words = Array.length payload in
-  if hs.h_sent.(dir) = r then err_duplicate ctx w words;
-  if words > ctx.bandwidth then err_bandwidth ctx w words;
-  hs.h_sent.(dir) <- r;
-  match hs.h_fs with
-  | None ->
-      account ctx dir words;
-      hs.h_send ~dir ~dst:w ~delay_rounds:0 ~payload
-  | Some fs ->
-      if Faults.link_down fs ~edge:(dir / 2) ~round:r then note_drop ctx
-      else if Faults.drop_roll fs then note_drop ctx
-      else begin
-        let extra = Faults.delay_roll fs in
-        account ctx dir words;
-        if extra > 0 then begin
-          ctx.delayed <- ctx.delayed + 1;
-          match ctx.trace with Some t -> Trace.on_delay t | None -> ()
-        end;
-        hs.h_send ~dir ~dst:w ~delay_rounds:extra ~payload
-      end
+  else note_drop ctx
 
 let deliver ctx w dir payload =
-  match ctx.hook with
-  | Some hs -> deliver_hooked ctx hs w dir payload
+  match ctx.defer with
+  | Some d -> deliver_deferred ctx d w dir payload
   | None ->
-  match ctx.faults with
-  | Some f -> deliver_faulty ctx f w dir payload
-  | None ->
-  let p = (ctx.round + 1) land 1 in
-  if ctx.msg_round.(p).(dir) = ctx.round + 1 then
-    err_duplicate ctx w (Array.length payload);
-  let words = Array.length payload in
-  if words > ctx.bandwidth then err_bandwidth ctx w words;
-  ctx.msg_round.(p).(dir) <- ctx.round + 1;
-  ctx.msg_len.(p).(dir) <- words;
-  Array.blit payload 0 ctx.arena.(p) (dir * ctx.bandwidth) words;
-  account ctx dir words;
-  if not ctx.has_mail.(w) then begin
-    ctx.has_mail.(w) <- true;
-    ctx.next_recv.(ctx.next_recv_n) <- w;
-    ctx.next_recv_n <- ctx.next_recv_n + 1
-  end
+      let next = ctx.round + 1 in
+      let words = Array.length payload in
+      if ctx.msg_round.(next land 1).(dir) = next then err_duplicate ctx w words;
+      if words > ctx.bandwidth then err_bandwidth ctx w words;
+      write_slot ctx ~round:next dir payload;
+      account ctx dir words;
+      add_recv ctx w
 
 let send ctx w payload =
   let e = Graph.find_edge_id ctx.g ctx.node w in
@@ -275,7 +220,7 @@ type 'st algo = {
 
 (* context construction shared by the synchronous engine and hook mode:
    the per-run message state only, the topology stays in the CSR *)
-let make_ctx ~bandwidth ~trace ~fstate ~hook g =
+let make_ctx ~bandwidth ~trace ~defer g =
   let n = Graph.n g in
   let m = Graph.m g in
   let maxdeg = ref 0 in
@@ -303,8 +248,7 @@ let make_ctx ~bandwidth ~trace ~fstate ~hook g =
     delayed = 0;
     retried = 0;
     trace;
-    faults = fstate;
-    hook;
+    defer;
   }
 
 (* the stepped node's inbox view: walk v's neighbour-sorted order
@@ -371,26 +315,65 @@ let finish_run ctx ~faults ~rounds ~active_steps ~converged =
     retried = ctx.retried;
   }
 
+(* compile a plan once, for either engine: a plan that can never fire
+   stays on the fast path entirely *)
+let start_faults faults g =
+  match faults with
+  | Some plan when not (Faults.is_zero plan) -> Some (Faults.start plan g)
+  | _ -> None
+
 let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
   let n = Graph.n g in
   let m = Graph.m g in
-  (* a plan that can never fire stays on the fast path entirely *)
-  let fstate =
-    match faults with
-    | Some plan when not (Faults.is_zero plan) ->
-        Some
-          {
-            fs = Faults.start plan g;
-            sent_round = Array.make (2 * m) (-1);
-            last_due = Array.make (2 * m) 0;
-            buckets = Hashtbl.create 64;
-            in_flight = 0;
-          }
-    | _ -> None
+  let fs = start_faults faults g in
+  let round = ref 0 in
+  let in_flight = ref 0 in
+  (* a live plan defers every send: [accept] queues it on its due round's
+     bucket (entries in reverse send order) and [release] materializes a
+     round's bucket into the arena.  [last_due] makes per-direction
+     delivery rounds strictly increasing, so a delayed message can never
+     share a slot (or a round) with a later one — the CONGEST
+     one-message-per-edge-direction-per-round invariant survives arbitrary
+     delay schedules. *)
+  let defer, release =
+    match fs with
+    | None -> (None, fun _ -> ())
+    | Some f ->
+        let last_due = Array.make (2 * m) 0 in
+        let buckets = Hashtbl.create 64 in
+        let accept ~dir ~dst ~extra payload =
+          let due = max (!round + 1 + extra) (last_due.(dir) + 1) in
+          let cw = Faults.crash_round f dst in
+          (* refused: the receiver is dead by the time this would arrive *)
+          (cw < 0 || due < cw)
+          && begin
+               last_due.(dir) <- due;
+               let entry = (dir, dst, Array.copy payload) in
+               (match Hashtbl.find_opt buckets due with
+               | Some l -> l := entry :: !l
+               | None -> Hashtbl.add buckets due (ref [ entry ]));
+               incr in_flight;
+               true
+             end
+        in
+        (* bucket order is send order — the order the fast path registers
+           receivers in, so a zero-effect plan reproduces its worklists *)
+        let release ctx =
+          match Hashtbl.find_opt buckets ctx.round with
+          | None -> ()
+          | Some l ->
+              Hashtbl.remove buckets ctx.round;
+              List.iter
+                (fun (dir, w, payload) ->
+                  decr in_flight;
+                  write_slot ctx ~round:ctx.round dir payload;
+                  add_recv ctx w)
+                (List.rev !l)
+        in
+        (Some { fs; sent = Array.make (2 * m) (-1); accept }, release)
   in
   let states = Array.init n (fun v -> algo.init g v) in
-  let ctx = make_ctx ~bandwidth ~trace ~fstate ~hook:None g in
-  let bandwidth = ctx.bandwidth in
+  let ctx = make_ctx ~bandwidth ~trace ~defer g in
   let spare_recv = ref (Array.make n 0) in
   (* awake worklists: double-buffered int stacks, no per-round consing.
      Both stacks (and the receiver stack) are pushed in discovery order and
@@ -407,39 +390,14 @@ let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
     end
   done;
   let converged = ref (!awake_n = 0) in
-  let round = ref 0 in
   let active_steps = ref 0 in
   let stamp = Array.make n 0 in
   while (not !converged) && !round < max_rounds do
     incr round;
     ctx.round <- !round;
-    let p = !round land 1 in
-    (* fault path: materialize the messages due this round into the arena
-       and register their receivers, before the receiver-list swap below
-       moves the registrations into this round's step list.  Bucket order
-       is push order, i.e. send order — the same order the clean path
-       registers receivers in, so a zero-effect plan reproduces the clean
-       worklists exactly. *)
-    (match fstate with
-    | Some f -> (
-        match Hashtbl.find_opt f.buckets !round with
-        | Some lst ->
-            Hashtbl.remove f.buckets !round;
-            List.iter
-              (fun (dir, w, payload) ->
-                f.in_flight <- f.in_flight - 1;
-                ctx.msg_round.(p).(dir) <- !round;
-                ctx.msg_len.(p).(dir) <- Array.length payload;
-                Array.blit payload 0 ctx.arena.(p) (dir * bandwidth)
-                  (Array.length payload);
-                if not ctx.has_mail.(w) then begin
-                  ctx.has_mail.(w) <- true;
-                  ctx.next_recv.(ctx.next_recv_n) <- w;
-                  ctx.next_recv_n <- ctx.next_recv_n + 1
-                end)
-              (List.rev !lst)
-        | None -> ())
-    | None -> ());
+    (* deliveries due this round register their receivers before the swap
+       below moves the registrations into this round's step list *)
+    release ctx;
     (* last round's send targets become this round's receivers; the spare
        stack becomes the write stack *)
     let this_recv = ctx.next_recv in
@@ -468,8 +426,8 @@ let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
     (* a crashed node is fail-stop: from its crash round on it neither
        steps nor re-enters the worklists, so it drains out of the run *)
     let dead v =
-      match fstate with
-      | Some f -> Faults.crashed f.fs ~node:v ~round:!round
+      match fs with
+      | Some f -> Faults.crashed f ~node:v ~round:!round
       | None -> false
     in
     for i = this_n - 1 downto 0 do
@@ -492,16 +450,14 @@ let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
     next_awake := tmp;
     awake_n := !next_n;
     (match trace with Some t -> Trace.on_round_end t | None -> ());
-    if
-      !awake_n = 0 && ctx.next_recv_n = 0
-      && match fstate with Some f -> f.in_flight = 0 | None -> true
-    then converged := true
+    if !awake_n = 0 && ctx.next_recv_n = 0 && !in_flight = 0 then
+      converged := true
   done;
   ( states,
     finish_run ctx
       ~faults:
-        (match (faults, fstate) with
-        | Some plan, Some f -> Some (plan, f.fs, f.in_flight)
+        (match (faults, fs) with
+        | Some plan, Some f -> Some (plan, f, !in_flight)
         | _ -> None)
       ~rounds:!round ~active_steps:!active_steps ~converged:!converged )
 
@@ -543,8 +499,11 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults g algo =
 
    An externally-driven engine instance: the executor owns time and
    delivery order, the hook owns everything the synchronous engine knows
-   about the fabric — ctx construction, send validation and accounting,
-   the parity arenas, the inbox view, and the algorithm states.  The
+   about the fabric — ctx construction, the deferred send (validation,
+   fault gauntlet, accounting), the parity arenas, the inbox view, and
+   the algorithm states.  Its [accept] hands every surviving message to
+   [on_send] and never refuses: only the executor knows when a message
+   lands, so it enforces receiver crashes at arrival ([note_lost]).  The
    α-synchronizer's invariant (at most two pulses of undelivered messages
    per directed edge, because pulse p + 2 sends require the safe(p + 1)
    handshake, which happens after the pulse p + 1 consumption) is exactly
@@ -552,24 +511,21 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults g algo =
 module Hook = struct
   type t = {
     hctx : ctx;
-    hstate : hook_state;
     plan : Faults.plan option;
+    fs : Faults.state option;
     step_fn : int -> unit;
     awake_fn : int -> bool;
     mutable steps : int;
   }
 
   let create ?(bandwidth = 4) ?trace ?faults ~on_send g algo =
-    let fs =
-      match faults with
-      | Some plan when not (Faults.is_zero plan) -> Some (Faults.start plan g)
-      | _ -> None
+    let fs = start_faults faults g in
+    let accept ~dir ~dst ~extra payload =
+      on_send ~dir ~dst ~delay_rounds:extra ~payload;
+      true
     in
-    let m = Graph.m g in
-    let hstate =
-      { h_send = on_send; h_sent = Array.make (2 * m) (-1); h_fs = fs }
-    in
-    let hctx = make_ctx ~bandwidth ~trace ~fstate:None ~hook:(Some hstate) g in
+    let defer = { fs; sent = Array.make (2 * Graph.m g) (-1); accept } in
+    let hctx = make_ctx ~bandwidth ~trace ~defer:(Some defer) g in
     let states = Array.init (Graph.n g) (fun v -> algo.init g v) in
     let finished = Array.map algo.finished states in
     let step_fn v =
@@ -580,8 +536,8 @@ module Hook = struct
     let t =
       {
         hctx;
-        hstate;
         plan = faults;
+        fs;
         step_fn;
         awake_fn = (fun v -> not finished.(v));
         steps = 0;
@@ -601,15 +557,9 @@ module Hook = struct
   let dir_src t dir = dir_dst t (dir lxor 1)
 
   let crash_round t v =
-    match t.hstate.h_fs with Some fs -> Faults.crash_round fs v | None -> -1
+    match t.fs with Some fs -> Faults.crash_round fs v | None -> -1
 
-  let deliver t ~dir ~pulse payload =
-    let ctx = t.hctx in
-    let p = pulse land 1 in
-    let words = Array.length payload in
-    ctx.msg_round.(p).(dir) <- pulse;
-    ctx.msg_len.(p).(dir) <- words;
-    Array.blit payload 0 ctx.arena.(p) (dir * ctx.bandwidth) words
+  let deliver t ~dir ~pulse payload = write_slot t.hctx ~round:pulse dir payload
 
   (* one inbox scan per pulse: the same predicate the synchronous
      worklist applies, mail or awake *)
@@ -629,7 +579,7 @@ module Hook = struct
   let finish t ~rounds ~converged =
     finish_run t.hctx
       ~faults:
-        (match (t.plan, t.hstate.h_fs) with
+        (match (t.plan, t.fs) with
         | Some plan, Some fs -> Some (plan, fs, 0)
         | _ -> None)
       ~rounds ~active_steps:t.steps ~converged

@@ -25,6 +25,14 @@
     and a steady-state round — every node re-stepping, every edge busy —
     allocates nothing.
 
+    A send under a live fault plan, or under a {!Hook}, is deferred
+    instead: one code path checks capacity against a per-direction send
+    stamp, runs the fault gauntlet (link failure, drop roll, delay roll,
+    in send order) and offers each survivor to the engine that owns
+    delivery, which queues it or refuses it. Every message is counted
+    once, at send time: delivered (and delayed) or dropped. A run with
+    neither a plan nor a hook allocates no deferral state.
+
     Nodes are stepped from an active worklist, not by scanning all [n]:
     a node is stepped in a round iff it has mail or it reported
     [finished = false] after its previous step. A finished node is
@@ -173,8 +181,9 @@ val with_runner : runner -> (unit -> 'a) -> 'a
 
 (** Delivery hooks: an externally-driven engine instance for event-driven
     executors (DESIGN.md section 16).  The hook owns what the synchronous
-    engine knows about the fabric — send validation, fault gauntlet,
-    accounting, parity arenas, inbox views, algorithm states — while the
+    engine knows about the fabric — the same deferred send (validation,
+    fault gauntlet, accounting) the synchronous engine runs under a fault
+    plan, parity arenas, inbox views, algorithm states — while the
     caller owns time: it receives every accepted send through [on_send],
     decides when it arrives, blits it back with {!Hook.deliver}, and runs
     node steps with {!Hook.step}.  Correct use requires the caller to
@@ -198,10 +207,12 @@ module Hook : sig
       validation and the fault gauntlet, while the sender's step is
       running: [dir] is the directed-edge slot, [dst] the receiver,
       [delay_rounds] the fault plan's delay roll (0 without one), and
-      [payload] a live scratch buffer the callee must copy.  Drop/link
-      faults are consumed here at send time, in send order, from the same
-      named streams as the synchronous engine; receiver crashes are the
-      caller's to enforce at arrival (see {!crash_round}, {!note_lost}). *)
+      [payload] a live scratch buffer the callee must copy.  Link, drop
+      and delay faults are consumed here at send time, in send order, by
+      the synchronous engine's own gauntlet and streams; a message
+      [on_send] receives is counted as sent, one the gauntlet loses as
+      dropped.  Receiver crashes are the caller's to enforce at arrival
+      (see {!crash_round}, {!note_lost}). *)
 
   val n : t -> int
   val graph : t -> Graphlib.Graph.t

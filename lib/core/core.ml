@@ -106,6 +106,3 @@ let mst ?(constructor = Mst.shortcut_constructor) g w =
 let mincut ?(trees = 8) ?(seed = 1) g w =
   let r = Mincut.approx ~trees ~seed ~constructor:Mst.shortcut_constructor g w in
   (r.Mincut.estimate, r.Mincut.rounds)
-
-(** Kept for the original scaffold's smoke test. *)
-let placeholder () = ()

@@ -7,48 +7,87 @@ let to_string ?weights g =
       | None -> Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
   Buffer.contents buf
 
+(* the located token parser both text formats share: every error names
+   the reader and the 1-based line, so a malformed file points at its bad
+   line instead of failing deep in int_of_string or the builder *)
+let located reader lineno msg =
+  invalid_arg (Printf.sprintf "Io.%s: line %d: %s" reader lineno msg)
+
+let parse_vertex reader lineno tok =
+  match int_of_string_opt tok with
+  | Some v when v >= 0 -> v
+  | Some _ -> located reader lineno (Printf.sprintf "negative vertex id %S" tok)
+  | None -> located reader lineno (Printf.sprintf "not a vertex id: %S" tok)
+
 let of_string s =
+  let err = located "of_string" in
+  let all = String.split_on_char '\n' s in
   let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    List.mapi (fun i l -> (i + 1, String.trim l)) all
+    |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
   in
+  let fields l = String.split_on_char ' ' l |> List.filter (( <> ) "") in
   match lines with
-  | [] -> invalid_arg "Io.of_string: empty input"
-  | header :: rest ->
+  | [] -> err (List.length all) "empty input (expected an \"n m\" header)"
+  | (hl, header) :: rest ->
+      let count tok =
+        match int_of_string_opt tok with
+        | Some c when c >= 0 -> c
+        | _ -> err hl (Printf.sprintf "not a count: %S" tok)
+      in
       let n, m =
-        match String.split_on_char ' ' header |> List.filter (( <> ) "") with
-        | [ a; b ] -> (int_of_string a, int_of_string b)
-        | _ -> invalid_arg "Io.of_string: bad header"
+        match fields header with
+        | [ a; b ] -> (count a, count b)
+        | _ -> err hl "bad header (expected \"n m\")"
+      in
+      let vertex ln tok =
+        let v = parse_vertex "of_string" ln tok in
+        if v >= n then err ln (Printf.sprintf "vertex %d out of range (n = %d)" v n);
+        v
       in
       let edges = ref [] in
       let weights = ref [] in
       let weighted = ref None in
       List.iter
-        (fun line ->
-          match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-          | [ u; v ] ->
-              (match !weighted with
-              | Some true -> invalid_arg "Io.of_string: mixed weighted/unweighted"
-              | _ -> weighted := Some false);
-              edges := (int_of_string u, int_of_string v) :: !edges
-          | [ u; v; w ] ->
-              (match !weighted with
-              | Some false -> invalid_arg "Io.of_string: mixed weighted/unweighted"
-              | _ -> weighted := Some true);
-              edges := (int_of_string u, int_of_string v) :: !edges;
-              weights := float_of_string w :: !weights
-          | _ -> invalid_arg "Io.of_string: bad edge line")
+        (fun (ln, line) ->
+          let u, v, w =
+            match fields line with
+            | [ u; v ] -> (u, v, None)
+            | [ u; v; w ] -> (u, v, Some w)
+            | _ -> err ln "bad edge line (expected \"u v\" or \"u v w\")"
+          in
+          (match (!weighted, w) with
+          | Some true, None | Some false, Some _ -> err ln "mixed weighted/unweighted"
+          | _ -> weighted := Some (Option.is_some w));
+          edges := (ln, vertex ln u, vertex ln v) :: !edges;
+          match w with
+          | None -> ()
+          | Some w -> (
+              match float_of_string_opt w with
+              | Some x -> weights := x :: !weights
+              | None -> err ln (Printf.sprintf "not a weight: %S" w)))
         rest;
-      if List.length !edges <> m then invalid_arg "Io.of_string: edge count mismatch";
-      let g = Graph.of_edges n (List.rev !edges) in
+      let edges = List.rev !edges in
+      let got = List.length edges in
+      if got <> m then
+        err hl (Printf.sprintf "header says m = %d but %d edge lines follow" m got);
+      let g = Graph.of_edges n (List.map (fun (_, u, v) -> (u, v)) edges) in
       let w =
         match !weighted with
         | Some true ->
-            (* graph construction dedupes; only safe when input has no dups *)
-            if Graph.m g <> m then
-              invalid_arg "Io.of_string: duplicate edges in weighted input"
-            else Some (Array.of_list (List.rev !weights))
+            (* graph construction drops self-loops and merges duplicates, so
+               weights line up with edge ids only when there are none *)
+            if Graph.m g <> m then begin
+              let seen = Hashtbl.create m in
+              List.iter
+                (fun (ln, u, v) ->
+                  let key = (Int.min u v * n) + Int.max u v in
+                  if u = v || Hashtbl.mem seen key then
+                    err ln "self-loop or duplicate edge in weighted input";
+                  Hashtbl.replace seen key ())
+                edges
+            end;
+            Some (Array.of_list (List.rev !weights))
         | _ -> None
       in
       (g, w)
@@ -76,9 +115,6 @@ let read_file path =
    line number so a malformed multi-gigabyte download points at the bad
    line instead of dying deep in the builder. -- *)
 
-let edge_list_error lineno msg =
-  invalid_arg (Printf.sprintf "Io.of_edge_list: line %d: %s" lineno msg)
-
 let of_edge_list ?n s =
   let us = ref [] and vs = ref [] and count = ref 0 and max_id = ref (-1) in
   let lineno = ref 0 in
@@ -98,12 +134,7 @@ let of_edge_list ?n s =
         |> List.concat_map (String.split_on_char ' ')
         |> List.filter (( <> ) "")
       in
-      let parse_vertex tok =
-        match int_of_string_opt tok with
-        | Some v when v >= 0 -> v
-        | Some _ -> edge_list_error !lineno (Printf.sprintf "negative vertex id %S" tok)
-        | None -> edge_list_error !lineno (Printf.sprintf "not a vertex id: %S" tok)
-      in
+      let parse_vertex = parse_vertex "of_edge_list" !lineno in
       match fields with
       | [] -> ()
       | [ u; v ] | [ u; v; _ ] ->
@@ -114,7 +145,7 @@ let of_edge_list ?n s =
           if u > !max_id then max_id := u;
           if v > !max_id then max_id := v
       | _ ->
-          edge_list_error !lineno
+          located "of_edge_list" !lineno
             (Printf.sprintf "expected \"u v\" (got %d fields)" (List.length fields))
     end
   in

@@ -6,7 +6,14 @@
     ['#'] are comments. *)
 
 val to_string : ?weights:Graph.weights -> Graph.t -> string
+
 val of_string : string -> Graph.t * Graph.weights option
+(** @raise Invalid_argument on malformed input, as
+    ["Io.of_string: line N: ..."] with the 1-based line (comments and
+    blank lines counted): a bad header or count, a bad or out-of-range
+    vertex, a bad weight, mixed weighted and unweighted lines, an edge
+    count that disagrees with the header, or a self-loop or duplicate edge
+    in weighted input. *)
 
 val write_file : string -> ?weights:Graph.weights -> Graph.t -> unit
 val read_file : string -> Graph.t * Graph.weights option

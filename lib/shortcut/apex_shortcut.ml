@@ -99,30 +99,10 @@ let construct_with_stats ?kappas ~apices tree parts =
                  c >= 0 && Hashtbl.mem inset c)
       end)
     res.Assignment.leftover;
-  let steiner = Steiner.compute_restricted tree parts ~members in
-  let kappas =
-    match kappas with
-    | Some ks -> ks
-    | None -> Generic.default_kappas (max 1 (Steiner.max_load steiner))
-  in
-  let best = ref None in
-  Obs.Span.with_ "apex_shortcut.sweep" (fun () ->
-      List.iter
-        (fun kappa ->
-          let local = Generic.prune Generic.Keep_kappa steiner parts kappa in
-          let assigned =
-            Array.mapi (fun i l -> List.rev_append assigned_global.(i) l) local
-          in
-          let sc = Shortcut.make tree parts assigned in
-          let q = Shortcut.quality sc in
-          match !best with
-          | Some (_, bq) when bq <= q -> ()
-          | _ -> best := Some (sc, q))
-        kappas);
-  let sc =
-    match !best with
-    | Some (sc, _) -> sc
-    | None -> Shortcut.make tree parts (Array.map (fun l -> l) assigned_global)
+  let sc, _ =
+    Generic.sweep ~span:"apex_shortcut.sweep" Generic.Keep_kappa ~kappas
+      ~global:assigned_global tree parts
+      (Steiner.compute_restricted tree parts ~members)
   in
   (sc, `Beta res.Assignment.beta, `Cells ncells)
 

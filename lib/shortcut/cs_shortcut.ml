@@ -157,31 +157,11 @@ let construct_with_stats ?(use_fold = true) ?kappas cs tree parts =
           Array.to_list parts.Part.parts.(i)
           |> List.filter (fun v -> Hashtbl.mem group_vset.(h) v))
   in
-  let steiner = Steiner.compute_restricted tree parts ~members in
-  let kappas =
-    match kappas with
-    | Some ks -> ks
-    | None -> Generic.default_kappas (max 1 (Steiner.max_load steiner))
-  in
   Obs.Metrics.add c_global_grants !global_grants;
-  let best = ref None in
-  Obs.Span.with_ "cs_shortcut.sweep" (fun () ->
-      List.iter
-        (fun kappa ->
-          let local = Generic.prune Generic.Keep_kappa steiner parts kappa in
-          let assigned =
-            Array.mapi (fun i l -> List.rev_append global.(i) l) local
-          in
-          let sc = Shortcut.make tree parts assigned in
-          let q = Shortcut.quality sc in
-          match !best with
-          | Some (_, bq) when bq <= q -> ()
-          | _ -> best := Some (sc, q))
-        kappas);
-  let sc =
-    match !best with
-    | Some (sc, _) -> sc
-    | None -> Shortcut.make tree parts (Array.map (fun l -> l) global)
+  let sc, _ =
+    Generic.sweep ~span:"cs_shortcut.sweep" Generic.Keep_kappa ~kappas ~global tree
+      parts
+      (Steiner.compute_restricted tree parts ~members)
   in
   (sc, `Global_grants !global_grants, `Depth_used (Fold.depth folded))
 

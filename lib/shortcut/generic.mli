@@ -11,41 +11,56 @@
 
 type policy =
   | Drop_all  (** overloaded edges are removed from every part *)
-  | Keep_kappa  (** each overloaded edge keeps its first [kappa] parts *)
-
-val with_threshold :
-  ?policy:policy -> Graphlib.Spanning.tree -> Part.t -> kappa:int -> Shortcut.t
-(** Steiner forest pruned at congestion [kappa]. *)
-
-val prune : policy -> Steiner.t -> Part.t -> int -> int list array
-(** The raw pruning step, for constructions that combine a pruned local
-    Steiner forest with their own global edges (clique-sum, apex). *)
+  | Keep_kappa  (** each overloaded edge keeps its [kappa] largest parts *)
 
 val default_kappas : int -> int list
 (** Powers of two up to (and including) the given maximum load. *)
 
+type frontier_point = {
+  kappa : int;
+  b : int;  (** block parameter *)
+  c : int;  (** congestion *)
+  q : int;  (** quality, [b * height T + c] *)
+}
+
+val sweep :
+  span:string ->
+  policy ->
+  kappas:int list option ->
+  global:int list array ->
+  Graphlib.Spanning.tree ->
+  Part.t ->
+  Steiner.t ->
+  Shortcut.t * frontier_point list
+(** The κ-sweep every backend ends in.  Part [i] is granted [global.(i)]
+    at every threshold plus its Steiner subtree from the given forest,
+    pruned at [kappa] by the policy's rule, ranked once per forest.  Each
+    [kappa] (default: powers of two up to the forest's max load) is scored
+    without building a {!Shortcut.t}; congestion is closed-form when no
+    part has a global grant and counted per edge otherwise.  Returns the
+    shortcut of the first [kappa] of minimum quality (the global grants
+    alone for an empty list) and the curve in [kappas] order; the sweep
+    runs under the span [span]. *)
+
 val construct :
   ?policy:policy -> ?kappas:int list -> Graphlib.Spanning.tree -> Part.t -> Shortcut.t
-(** Sweep [kappas] (default: powers of two up to the max Steiner load) and
-    return the minimum-quality shortcut. *)
+(** {!sweep} over the parts' full Steiner forest with no global grants:
+    the minimum-quality shortcut.  [construct ~kappas:[k]] is the forest
+    pruned at [k]. *)
 
 val construct_with_stats :
   ?policy:policy ->
   ?kappas:int list ->
   Graphlib.Spanning.tree ->
   Part.t ->
-  Shortcut.t * (int * int) list
-(** Also returns the [(kappa, quality)] curve of the sweep. *)
-
-type frontier_point = {
-  kappa : int;
-  b : int;
-  c : int;
-  q : int;
-}
+  Shortcut.t * frontier_point list
+(** Also returns the sweep's curve, one point per [kappa]. *)
 
 val frontier :
   ?policy:policy -> ?kappas:int list -> Graphlib.Spanning.tree -> Part.t -> frontier_point list
-(** The (block, congestion) tradeoff curve of the sweep: the object the
+(** The (block, congestion) tradeoff curve of the sweep — the curve of
+    {!construct_with_stats}, sharing its memo entry: the object the
     paper's open problem (§2.4 — can b = O(d) be improved to Õ(1)?) is
-    about. *)
+    about.  Each point equals the {!Shortcut.block_parameter},
+    {!Shortcut.congestion} and {!Shortcut.quality} of
+    [construct ~kappas:[kappa]]. *)

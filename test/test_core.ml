@@ -68,8 +68,6 @@ let test_facade_cs_vs_generic_quality () =
   check "certified aggregation correct" true (Core.Aggregate.verify sc_cert ~values r1);
   check "generic aggregation correct" true (Core.Aggregate.verify sc_gen ~values r2)
 
-let test_placeholder_smoke () = Core.placeholder ()
-
 let () =
   Alcotest.run "core"
     [
@@ -82,6 +80,5 @@ let () =
           Alcotest.test_case "min-cut" `Quick test_facade_mincut;
           Alcotest.test_case "certified vs generic aggregation" `Quick
             test_facade_cs_vs_generic_quality;
-          Alcotest.test_case "placeholder" `Quick test_placeholder_smoke;
         ] );
     ]

@@ -271,6 +271,51 @@ let test_crash_mid_run () =
   check_int "flood continues" 2 dist.(2).Bfs.dist;
   check_int "flood continues" 5 dist.(5).Bfs.dist
 
+(* ---------- one plan, every fault kind ---------- *)
+
+(* drop, delay, a link failure and a crash in one plan.  The gauntlet's
+   order — link check, drop roll, delay roll, then the dead-receiver
+   refusal — decides which stream draws each message consumes, so moving
+   any step shifts these counts.  Pinned per family on both engines: the
+   synchronous one refuses a dead receiver at send time, the
+   α-synchronizer at arrival. *)
+let combined_stats ~async g ~link:(u, v) ~crash =
+  let plan =
+    Faults.make ~drop:0.15 ~delay:0.3 ~max_delay:2
+      ~links:[ { Faults.u; v; from_round = 1; to_round = 3 } ]
+      ~crashes:[ { Faults.node = crash; at_round = 3 } ]
+      23
+  in
+  let run () = snd (Bfs.run ~faults:plan g ~root:0) in
+  let s =
+    if async then
+      let spec = Asynch.Latency.make ~seed:5 (Asynch.Latency.Exponential 1.0) in
+      fst (Asynch.Synchronizer.with_substrate ~spec run)
+    else run ()
+  in
+  [ s.Network.rounds; s.Network.messages; s.Network.dropped; s.Network.delayed ]
+
+let test_combined_plan () =
+  List.iter
+    (fun (name, g, link, crash, sync, async) ->
+      Alcotest.(check (list int))
+        (name ^ ": sync rounds/messages/dropped/delayed")
+        sync
+        (combined_stats ~async:false g ~link ~crash);
+      Alcotest.(check (list int))
+        (name ^ ": asynch rounds/messages/dropped/delayed")
+        async
+        (combined_stats ~async:true g ~link ~crash))
+    [
+      ( "torus 6x6",
+        Generators.torus_grid 6 6,
+        (0, 1),
+        8,
+        [ 14; 120; 20; 40 ],
+        [ 8; 124; 20; 41 ] );
+      ("wheel 16", Generators.wheel 16, (0, 1), 15, [ 14; 12; 9; 6 ], [ 8; 18; 9; 9 ]);
+    ]
+
 (* ---------- the resilient link ---------- *)
 
 let test_resilient_exactly_once () =
@@ -370,6 +415,8 @@ let () =
           Alcotest.test_case "crash: surviving component" `Quick
             test_crash_surviving_component;
           Alcotest.test_case "crash mid-run" `Quick test_crash_mid_run;
+          Alcotest.test_case "one plan, every fault kind" `Quick
+            test_combined_plan;
         ] );
       ( "resilience",
         [

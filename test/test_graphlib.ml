@@ -404,12 +404,28 @@ let test_io_comments_and_errors () =
   let g, w = Io.of_string "# a comment\n2 1\n0 1\n" in
   check_int "parsed" 1 (Graph.m g);
   check "unweighted" true (w = None);
-  Alcotest.check_raises "bad header"
-    (Invalid_argument "Io.of_string: bad header") (fun () ->
-      ignore (Io.of_string "nope\n"));
-  Alcotest.check_raises "mixed weights"
-    (Invalid_argument "Io.of_string: mixed weighted/unweighted") (fun () ->
-      ignore (Io.of_string "3 2\n0 1\n1 2 0.5\n"))
+  (* every error names the 1-based line, comments and blanks counted *)
+  let raises name msg input =
+    Alcotest.check_raises name (Invalid_argument ("Io.of_string: " ^ msg))
+      (fun () -> ignore (Io.of_string input))
+  in
+  raises "bad header" "line 1: bad header (expected \"n m\")" "nope\n";
+  raises "non-integer header" "line 2: not a count: \"x\"" "# c\nx 1\n";
+  raises "negative header" "line 1: not a count: \"-3\"" "-3 1\n";
+  raises "empty input" "line 3: empty input (expected an \"n m\" header)"
+    "# only\n\n# comments";
+  raises "mixed weights" "line 3: mixed weighted/unweighted" "3 2\n0 1\n1 2 0.5\n";
+  raises "non-integer vertex" "line 3: not a vertex id: \"b\"" "3 2\n0 1\n1 b\n";
+  raises "negative vertex" "line 2: negative vertex id \"-1\"" "3 1\n-1 2\n";
+  raises "vertex out of range" "line 4: vertex 3 out of range (n = 3)"
+    "3 2\n0 1\n\n1 3\n";
+  raises "bad weight" "line 2: not a weight: \"heavy\"" "2 1\n0 1 heavy\n";
+  raises "bad edge line" "line 2: bad edge line (expected \"u v\" or \"u v w\")"
+    "3 1\n0 1 2 3\n";
+  raises "edge count" "line 1: header says m = 3 but 2 edge lines follow"
+    "3 3\n0 1\n1 2\n";
+  raises "duplicate weighted edge" "line 4: self-loop or duplicate edge in weighted input"
+    "3 3\n0 1 1.0\n1 2 1.0\n1 0 2.0\n"
 
 let test_io_file_roundtrip () =
   let g = Generators.petersen () in

@@ -40,8 +40,8 @@ let prop_congestion_additive_under_union =
     QCheck.(int_range 1 500)
     (fun seed ->
       let _, tree, parts = random_instance seed in
-      let a = Sh.Generic.with_threshold tree parts ~kappa:1 in
-      let b = Sh.Generic.with_threshold tree parts ~kappa:4 in
+      let a = Sh.Generic.construct ~kappas:[ 1 ] tree parts in
+      let b = Sh.Generic.construct ~kappas:[ 4 ] tree parts in
       let u = Sh.Shortcut.union a b in
       Sh.Shortcut.congestion u <= Sh.Shortcut.congestion a + Sh.Shortcut.congestion b
       && Sh.Shortcut.congestion u >= max (Sh.Shortcut.congestion a) (Sh.Shortcut.congestion b))
@@ -271,6 +271,60 @@ let prop_lca_depth_bound =
       done;
       !ok)
 
+(* the sweep scores each kappa without building a shortcut; each point must
+   be what the shortcut of that single kappa measures, for both policies
+   and for thresholds past the max Steiner load *)
+let point_matches sc p =
+  p.Sh.Generic.b = Sh.Shortcut.block_parameter sc
+  && p.Sh.Generic.c = Sh.Shortcut.congestion sc
+  && p.Sh.Generic.q = Sh.Shortcut.quality sc
+
+let prop_frontier_matches_construct =
+  QCheck.Test.make ~name:"frontier points = metrics of construct ~kappas:[k]"
+    ~count:30
+    QCheck.(int_range 1 500)
+    (fun seed ->
+      let _, tree, parts = random_instance seed in
+      let max_load = Sh.Steiner.max_load (Sh.Steiner.compute tree parts) in
+      let kappas = List.init (max_load + 3) Fun.id in
+      List.for_all
+        (fun policy ->
+          let pts = Sh.Generic.frontier ~policy ~kappas tree parts in
+          List.length pts = List.length kappas
+          && List.for_all2
+               (fun k p ->
+                 p.Sh.Generic.kappa = k
+                 && point_matches
+                      (Sh.Generic.construct ~policy ~kappas:[ k ] tree parts)
+                      p)
+               kappas pts)
+        [ Sh.Generic.Keep_kappa; Sh.Generic.Drop_all ])
+
+(* the same with global grants, where congestion is counted per edge: random
+   tree edges (repeats included) granted to every part at every kappa *)
+let prop_sweep_with_global_grants =
+  QCheck.Test.make ~name:"sweep points with global grants = metrics of its shortcut"
+    ~count:30
+    QCheck.(int_range 1 500)
+    (fun seed ->
+      let _, tree, parts = random_instance seed in
+      let st = Random.State.make [| seed |] in
+      let tree_edges = Array.of_list (Spanning.tree_edges tree) in
+      let global =
+        Array.init (Sh.Part.count parts) (fun _ ->
+            let k = if tree_edges = [||] then 0 else Random.State.int st 4 in
+            List.init k (fun _ ->
+                tree_edges.(Random.State.int st (Array.length tree_edges))))
+      in
+      let steiner = Sh.Steiner.compute tree parts in
+      let kappas = List.init (Sh.Steiner.max_load steiner + 3) Fun.id in
+      let sweep kappas =
+        Sh.Generic.sweep ~span:"test.sweep" Sh.Generic.Keep_kappa
+          ~kappas:(Some kappas) ~global tree parts steiner
+      in
+      let _, pts = sweep kappas in
+      List.for_all2 (fun k p -> point_matches (fst (sweep [ k ])) p) kappas pts)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -297,6 +351,8 @@ let () =
         qsuite
           [
             prop_restricted_steiner_subset;
+            prop_frontier_matches_construct;
+            prop_sweep_with_global_grants;
             prop_aggregation_rounds_lower_bound;
             prop_mst_weight_independent_of_constructor;
           ] );

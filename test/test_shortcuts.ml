@@ -182,7 +182,7 @@ let test_generic_beats_threshold_extremes () =
   let best, curve = Sh.Generic.construct_with_stats tree parts in
   let qbest = Sh.Shortcut.quality best in
   check "sweep minimum is the returned shortcut" true
-    (List.for_all (fun (_, q) -> q >= qbest) curve)
+    (List.for_all (fun p -> p.Sh.Generic.q >= qbest) curve)
 
 let test_generic_policies_agree_on_quality_order () =
   let gp = Generators.grid 12 12 in
