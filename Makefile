@@ -21,7 +21,8 @@ fmt:
 # source (grep) and in the compiled objects (nm -u), so the two libraries
 # are built first (see tools/lint_polycompare.sh and DESIGN.md section 15)
 lint-polycompare:
-	dune build lib/graphlib/graphlib.cmxa lib/congest/congest.cmxa
+	dune build lib/graphlib/graphlib.cmxa lib/congest/congest.cmxa \
+	  lib/asynch/asynch.cmxa
 	sh tools/lint_polycompare.sh
 
 # the one gate to run before pushing: formatting, lint, full build, full

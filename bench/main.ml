@@ -1,31 +1,9 @@
 (* Benchmark harness: one experiment per theorem / figure of the paper
    (see DESIGN.md section 4 and EXPERIMENTS.md for the recorded outcomes).
 
-   Usage:
-     dune exec bench/main.exe                   -- run everything
-     dune exec bench/main.exe -- --only E1      -- one experiment
-     dune exec bench/main.exe -- --list         -- list experiments
-     dune exec bench/main.exe -- --no-timing    -- skip the bechamel timing suite
-     dune exec bench/main.exe -- --jsonl out.jsonl -- stream spans/metrics/rows/
-                                                      trace summaries as JSONL events
-     dune exec bench/main.exe -- --full-trace   -- include per-round series in
-                                                   trace events (needs --jsonl)
-     dune exec bench/main.exe -- --jobs 4       -- run sweep cells on 4 domains
-                                                   (output identical to --jobs 1)
-     dune exec bench/main.exe -- --no-breakdown -- skip the per-experiment span
-                                                   timing tables (the only
-                                                   nondeterministic stdout)
-     dune exec bench/main.exe -- --ledger BENCH_LEDGER.jsonl --rev abc123 \
-                                 --date 2026-08-08 -- append one schema-
-                                                   versioned ledger entry
-                                                   (per-experiment wall time,
-                                                   span totals, minor-heap
-                                                   allocation, alloc-per-round
-                                                   probes, cache hit rates,
-                                                   rev/date/mode stamps) for
-                                                   tools/bench_diff to gate on
-     dune exec bench/main.exe -- --no-cache     -- disable the memo cache
-                                                   (stdout must not change)
+   Usage: dune exec bench/main.exe -- [FLAG]...  With no flag it runs every
+   experiment and then the bechamel timing suite; [cli_flags] below lists
+   the flags, and --help prints them.
 
    BENCH_SYNTH_SLOWDOWN=0.25 in the environment stretches every
    experiment by +25% of its measured wall time with a busy spin that
@@ -1851,17 +1829,70 @@ let alloc_probes () =
       ("agg grid 64x64 voronoi", probe_agg); ("mst-full grid 32x32", probe_mst);
     ]
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let value_of flag =
-    let rec find = function
-      | f :: v :: _ when f = flag -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+(* The command line: this one table drives both parsing and --help.  A
+   flag with an argument name takes the next argument as its value. *)
+let cli_flags =
+  [
+    ("--only", Some "ID", "run one experiment (ids: --list)");
+    ("--list", None, "list the experiments and exit");
+    ("--no-timing", None, "skip the bechamel timing suite");
+    ( "--jsonl",
+      Some "FILE",
+      "stream spans, metrics, rows and trace summaries as JSONL events" );
+    ( "--full-trace",
+      None,
+      "include per-round series in trace events (needs --jsonl)" );
+    ("--jobs", Some "N", "run sweep cells on N domains (same output as 1)");
+    ( "--no-breakdown",
+      None,
+      "skip the span timing tables (the only nondeterministic stdout)" );
+    ("--ledger", Some "FILE", "append one ledger entry for tools/bench_diff");
+    ("--rev", Some "REV", "git rev stamped on the ledger entry (default local)");
+    ("--date", Some "DATE", "date stamped on the ledger entry (default today)");
+    ("--no-cache", None, "disable the memo cache (stdout must not change)");
+  ]
+
+let usage oc =
+  output_string oc "usage: main.exe [FLAG]...\n";
+  List.iter
+    (fun (name, arg, doc) ->
+      let lhs = match arg with Some a -> name ^ " " ^ a | None -> name in
+      Printf.fprintf oc "  %-15s %s\n" lhs doc)
+    (cli_flags @ [ ("--help", None, "print this message and exit") ]);
+  output_string oc
+    "With no flag, runs every experiment, then the bechamel timing suite.\n"
+
+(* [(flag, value)] in command-line order, [""] for a switch.  An unknown
+   argument, or a value flag followed by nothing or by another flag, is a
+   usage error: exit 2 before anything runs.  --help wins over both. *)
+let parse_args args =
+  if List.mem "--help" args then begin
+    usage stdout;
+    exit 0
+  end;
+  let fail msg =
+    Printf.eprintf "bench: %s\n" msg;
+    usage stderr;
+    exit 2
   in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | flag :: rest -> (
+        match List.find_opt (fun (name, _, _) -> name = flag) cli_flags with
+        | None -> fail (Printf.sprintf "unknown argument %S" flag)
+        | Some (_, None, _) -> go ((flag, "") :: acc) rest
+        | Some (_, Some arg, _) -> (
+            match rest with
+            | v :: rest when not (String.starts_with ~prefix:"--" v) ->
+                go ((flag, v) :: acc) rest
+            | _ -> fail (Printf.sprintf "%s needs a value: %s %s" flag flag arg)))
+  in
+  go [] args
+
+let () =
+  let args = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let has flag = List.mem_assoc flag args in
+  let value_of flag = List.assoc_opt flag args in
   let only = value_of "--only" in
   let jsonl_path = value_of "--jsonl" in
   ledger_file := value_of "--ledger";

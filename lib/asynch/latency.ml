@@ -53,25 +53,35 @@ let mean_latency = function
       if alpha <= 1.0 then Float.infinity
       else alpha *. xmin /. (alpha -. 1.0)
 
-type sampler = { st : Random.State.t; model : model }
+type sampler = { st : Random.State.t; model : model; fast : bool }
 
 let sampler (spec : spec) =
   validate_model spec.model;
   {
     st = Faults.Rng.named ~seed:spec.seed Faults.Streams.asynch_latency;
     model = spec.model;
+    fast = Graphlib.Fastrand.active ();
   }
 
-let draw s =
+(* [Random.State.float st 1.0], unboxed when [Fastrand] reproduces the
+   stream: that call is rawfloat *. 1.0, and [draw53] is the rawfloat's
+   mantissa, so the value and the stream advance are identical *)
+let[@inline] unit_float s =
+  if s.fast then float_of_int (Graphlib.Fastrand.draw53 s.st) *. 0x1.p-53
+  else Random.State.float s.st 1.0
+
+(* [Random.State.float st b] is rawfloat *. b, so every model below draws
+   exactly the values it drew through the stdlib *)
+let[@inline] draw s =
   match s.model with
   | Constant c -> c
-  | Uniform (lo, hi) -> lo +. Random.State.float s.st (hi -. lo)
+  | Uniform (lo, hi) -> lo +. (unit_float s *. (hi -. lo))
   | Exponential mean ->
       (* inverse CDF on u in [0, 1): -mean ln(1 - u) *)
-      -.mean *. log (1.0 -. Random.State.float s.st 1.0)
+      -.mean *. log (1.0 -. unit_float s)
   | Pareto { alpha; xmin } ->
       (* inverse CDF: xmin (1 - u)^(-1/alpha); heavy tail for alpha <= 2 *)
-      xmin /. ((1.0 -. Random.State.float s.st 1.0) ** (1.0 /. alpha))
+      xmin /. ((1.0 -. unit_float s) ** (1.0 /. alpha))
 
 (* per-undirected-edge bandwidth caps in words per simulated time unit,
    sampled once per edge in edge-id order; None means uncapped links *)

@@ -13,22 +13,32 @@
 module Graph = Graphlib.Graph
 module EQ = Graphlib.Pqueue.Event
 
+(* the simulated clock: a flat float record, so advancing it never boxes *)
+type clock = { mutable now : float }
+
 type ctx = {
   g : Graph.t;
   mutable node : int;
-  mutable now : float;
-  mutable emit : int -> int array -> unit;
+  clock : clock;
+  mutable emit : int -> int -> int array -> unit;  (* dst, edge id, payload *)
 }
 
 let node ctx = ctx.node
-let now ctx = ctx.now
+let now ctx = ctx.clock.now
 let graph ctx = ctx.g
-let send ctx w payload = ctx.emit w payload
+
+let send ctx w payload =
+  let e = Graph.find_edge_id ctx.g ctx.node w in
+  if e < 0 then
+    invalid_arg
+      (Printf.sprintf "Asynch.Native: send to a non-neighbor (%d -> %d)"
+         ctx.node w)
+  else ctx.emit w e payload
 
 let send_all ctx payload =
-  let nbr = Graph.neighbors ctx.g ctx.node in
-  for i = 0 to Array.length nbr - 1 do
-    ctx.emit nbr.(i) payload
+  let g = ctx.g and v = ctx.node in
+  for p = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+    ctx.emit (Graph.adj_dst g p) (Graph.adj_eid g p) payload
   done
 
 type 'st algo = {
@@ -51,72 +61,42 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
   let lat = Latency.sampler spec in
   let caps = Latency.edge_caps spec ~m in
   let eq = EQ.create () in
-  (* event arena: payload + dir per in-flight message, free-listed *)
-  let pay = ref (Array.make 64 [||]) in
-  let dirs = ref (Array.make 64 0) in
-  let len = ref 0 in
-  let free = ref [] in
+  (* an event's payload is its message's slot; its direction is the key *)
+  let slots = Slots.create () in
   let seq = ref 0 in
-  let now = ref 0.0 in
   let msgs = ref 0 and events = ref 0 in
   let last_depart = Array.make (2 * m) 0.0 in
   let states = Array.init n (fun v -> algo.init g v) in
-  let ctx = { g; node = -1; now = 0.0; emit = (fun _ _ -> ()) } in
-  let emit w payload =
+  let clk = { now = 0.0 } in
+  let ctx = { g; node = -1; clock = clk; emit = (fun _ _ _ -> ()) } in
+  let emit w e payload =
     let v = ctx.node in
-    let e = Graph.find_edge_id g v w in
-    if e < 0 then
+    let words = Array.length payload in
+    if words > bandwidth then
       invalid_arg
-        (Printf.sprintf "Asynch.Native: send to a non-neighbor (%d -> %d)" v w)
-    else begin
-      let words = Array.length payload in
-      if words > bandwidth then
-        invalid_arg
-          (Printf.sprintf
-             "Asynch.Native: message exceeds bandwidth (%d -> %d, %d words > \
-              %d)"
-             v w words bandwidth);
-      let dir = Congest.Network.dir_of g e v in
-      incr msgs;
-      let l = Latency.draw lat in
-      let depart =
-        match caps with
-        | None -> !now
-        | Some c ->
-            let tx = float_of_int words /. c.(e) in
-            let d = Float.max !now last_depart.(dir) +. tx in
-            last_depart.(dir) <- d;
-            d
-      in
-      let idx =
-        match !free with
-        | i :: rest ->
-            free := rest;
-            i
-        | [] ->
-            let cap = Array.length !pay in
-            if !len = cap then begin
-              let np = Array.make (2 * cap) [||] in
-              let nd = Array.make (2 * cap) 0 in
-              Array.blit !pay 0 np 0 !len;
-              Array.blit !dirs 0 nd 0 !len;
-              pay := np;
-              dirs := nd
-            end;
-            let i = !len in
-            len := !len + 1;
-            i
-      in
-      !pay.(idx) <- Array.copy payload;
-      !dirs.(idx) <- dir;
-      incr seq;
-      EQ.push eq ~time:(depart +. l) ~a:dir ~b:!seq idx
-    end
+        (Printf.sprintf
+           "Asynch.Native: message exceeds bandwidth (%d -> %d, %d words > %d)"
+           v w words bandwidth);
+    let dir = Congest.Network.dir_of g e v in
+    incr msgs;
+    let l = Latency.draw lat in
+    let depart =
+      match caps with
+      | None -> clk.now
+      | Some c ->
+          let tx = float_of_int words /. c.(e) in
+          let d = Float.max clk.now last_depart.(dir) +. tx in
+          last_depart.(dir) <- d;
+          d
+    in
+    (* a native message belongs to no pulse *)
+    let slot = Slots.alloc slots ~pulse:0 (Array.copy payload) in
+    incr seq;
+    EQ.push eq ~time:(depart +. l) ~a:dir ~b:!seq slot
   in
   ctx.emit <- emit;
   for v = 0 to n - 1 do
     ctx.node <- v;
-    ctx.now <- 0.0;
     states.(v) <- algo.start ctx states.(v)
   done;
   let quiesced = ref true in
@@ -126,27 +106,25 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
        quiesced := false;
        continue := false
      end
-     else
-       match EQ.pop eq with
-       | None -> continue := false
-       | Some (t, idx) ->
-           now := t;
-           incr events;
-           let dir = !dirs.(idx) in
-           let payload = !pay.(idx) in
-           !pay.(idx) <- [||];
-           free := idx :: !free;
-           let e = dir / 2 in
-           let u = Graph.edge_u g e and v = Graph.edge_v g e in
-           let src = if dir land 1 = 0 then u else v in
-           let dst = if dir land 1 = 0 then v else u in
-           ctx.node <- dst;
-           ctx.now <- t;
-           states.(dst) <- algo.receive ctx ~src ~payload states.(dst)
+     else if EQ.is_empty eq then continue := false
+     else begin
+       clk.now <- EQ.min_time eq;
+       let dir = EQ.min_a eq in
+       let slot = EQ.pop eq in
+       incr events;
+       let payload = Slots.payload slots slot in
+       Slots.release slots slot;
+       let e = dir / 2 in
+       let u = Graph.edge_u g e and v = Graph.edge_v g e in
+       let src = if dir land 1 = 0 then u else v in
+       let dst = if dir land 1 = 0 then v else u in
+       ctx.node <- dst;
+       states.(dst) <- algo.receive ctx ~src ~payload states.(dst)
+     end
    done);
   ( states,
     {
-      sim_time = !now;
+      sim_time = clk.now;
       msgs = !msgs;
       events = !events;
       queue_hwm = EQ.high_water eq;

@@ -62,58 +62,17 @@ let gadd g i d =
   end;
   g.a.(i) <- g.a.(i) + d
 
-(* event arena: parallel growable arrays addressed by the heap payload,
-   with a free list so steady state allocates nothing.  kind 0 = data
-   arrival, 1 = ack arrival, 2 = safe arrival. *)
-type arena = {
-  mutable kind : int array;
-  mutable dir : int array;
-  mutable pulse : int array;
-  mutable payload : int array array;
-  mutable len : int;
-  mutable free : int list;
-}
+(* the simulated clock: a flat float record, so advancing it never boxes *)
+type clock = { mutable now : float }
 
-let arena_make () =
-  { kind = [||]; dir = [||]; pulse = [||]; payload = [||]; len = 0; free = [] }
-
-let arena_alloc a ~kind ~dir ~pulse ~payload =
-  match a.free with
-  | i :: rest ->
-      a.free <- rest;
-      a.kind.(i) <- kind;
-      a.dir.(i) <- dir;
-      a.pulse.(i) <- pulse;
-      a.payload.(i) <- payload;
-      i
-  | [] ->
-      let cap = Array.length a.kind in
-      if a.len = cap then begin
-        let ncap = max 64 (2 * cap) in
-        let nk = Array.make ncap 0 in
-        let nd = Array.make ncap 0 in
-        let np = Array.make ncap 0 in
-        let npl = Array.make ncap [||] in
-        Array.blit a.kind 0 nk 0 a.len;
-        Array.blit a.dir 0 nd 0 a.len;
-        Array.blit a.pulse 0 np 0 a.len;
-        Array.blit a.payload 0 npl 0 a.len;
-        a.kind <- nk;
-        a.dir <- nd;
-        a.pulse <- np;
-        a.payload <- npl
-      end;
-      let i = a.len in
-      a.len <- a.len + 1;
-      a.kind.(i) <- kind;
-      a.dir.(i) <- dir;
-      a.pulse.(i) <- pulse;
-      a.payload.(i) <- payload;
-      i
-
-let arena_free a i =
-  a.payload.(i) <- [||];
-  a.free <- i :: a.free
+(* An event is one heap entry keyed (time, directed edge, seq); its int
+   payload is a code whose low two bits are the kind.  A data event
+   carries its payload slot above them; an ack or a safe carries only
+   its pulse, and its edge is the heap key, so control events take no
+   slot at all. *)
+let kind_data = 0
+let kind_ack = 1
+let kind_safe = 2
 
 exception Stop
 
@@ -124,9 +83,9 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
   let lat = Latency.sampler spec in
   let caps = Latency.edge_caps spec ~m in
   let eq = EQ.create () in
-  let arena = arena_make () in
+  let slots = Slots.create () in
   let seq = ref 0 in
-  let now = ref 0.0 in
+  let clk = { now = 0.0 } in
   let data_msgs = ref 0 and ctrl_msgs = ref 0 and events = ref 0 in
   let exec_pulse = Array.make n 0 in
   let pending_acks = Array.make n 0 in
@@ -141,27 +100,27 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
   let tl_t = ref [] and tl_q = ref [] and tl_d = ref [] in
   let cur_pulse = ref 0 in
   let cur_sends = ref 0 in
-  let schedule ~kind ~dir ~pulse ~time payload =
-    let idx = arena_alloc arena ~kind ~dir ~pulse ~payload in
+  let[@inline] schedule ~dir ~time code =
     incr seq;
-    EQ.push eq ~time ~a:dir ~b:!seq idx
+    EQ.push eq ~time ~a:dir ~b:!seq code
   in
   let on_send ~dir ~dst:_ ~delay_rounds ~payload =
     incr data_msgs;
     incr cur_sends;
-    gadd sent_cnt (!cur_pulse + 1) 1;
+    let pulse = !cur_pulse + 1 in
+    gadd sent_cnt pulse 1;
     let l = Latency.draw lat *. float_of_int (1 + delay_rounds) in
     let depart =
       match caps with
-      | None -> !now
+      | None -> clk.now
       | Some c ->
           let tx = float_of_int (Array.length payload) /. c.(dir / 2) in
-          let d = Float.max !now last_depart.(dir) +. tx in
+          let d = Float.max clk.now last_depart.(dir) +. tx in
           last_depart.(dir) <- d;
           d
     in
-    schedule ~kind:0 ~dir ~pulse:(!cur_pulse + 1) ~time:(depart +. l)
-      (Array.copy payload)
+    let slot = Slots.alloc slots ~pulse (Array.copy payload) in
+    schedule ~dir ~time:(depart +. l) ((slot lsl 2) lor kind_data)
   in
   let h, states = Hook.create ~bandwidth ?trace ?faults ~on_send g algo in
   let crash_at = Array.init n (fun v -> Hook.crash_round h v) in
@@ -190,7 +149,8 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
       !c
     end
   in
-  let rec exec v p t =
+  (* the handlers run at the clock's current time, [clk.now] *)
+  let rec exec v p =
     if p > max_rounds then begin
       capped := true;
       rounds := max_rounds;
@@ -205,19 +165,20 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
     Hook.step h ~node:v ~pulse:p;
     if Hook.awake h v then gadd unfinished_cnt p 1;
     pending_acks.(v) <- !cur_sends;
-    if !cur_sends = 0 then become_safe v p t;
-    check_waves t
-  and become_safe v p t =
+    if !cur_sends = 0 then become_safe v p;
+    check_waves ()
+  and become_safe v p =
     self_safe.(v) <- true;
     for i = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
       incr ctrl_msgs;
       let l = Latency.draw lat in
-      schedule ~kind:2
+      schedule
         ~dir:(Network.dir_of g (Graph.adj_eid g i) v)
-        ~pulse:p ~time:(t +. l) [||]
+        ~time:(clk.now +. l)
+        ((p lsl 2) lor kind_safe)
     done;
-    try_advance v t
-  and try_advance v t =
+    try_advance v
+  and try_advance v =
     let p = exec_pulse.(v) in
     (* a node with no live neighbors has no synchronization constraint and
        would free-run to max_rounds here; such nodes advance only on wave
@@ -227,14 +188,14 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
       req > 0 && self_safe.(v)
       && safe_cnt.((2 * v) + (p land 1)) >= req
       && not (dead v (p + 1))
-    then exec v (p + 1) t
-  and check_waves t =
+    then exec v (p + 1)
+  and check_waves () =
     let r = !next_check in
     if r <= !rounds + 1 && gget exec_cnt r >= alive_at r && alive_at r > 0 then begin
       (* wave r is complete: every live node has executed pulse r *)
       Hook.wave_end h;
       if timeline then begin
-        tl_t := t :: !tl_t;
+        tl_t := clk.now :: !tl_t;
         tl_q := EQ.size eq :: !tl_q;
         tl_d := !data_msgs :: !tl_d
       end;
@@ -253,9 +214,9 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
             exec_pulse.(v) = r && self_safe.(v)
             && required_safes v r = 0
             && not (dead v (r + 1))
-          then exec v (r + 1) t
+          then exec v (r + 1)
         done;
-        check_waves t
+        check_waves ()
       end
     end
   in
@@ -271,47 +232,44 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
        (* pulse 1 is spontaneous: every live node fires at time zero, in
           node order, exactly as the synchronous round 1 steps them *)
        for v = 0 to n - 1 do
-         if not (dead v 1) then exec v 1 0.0
+         if not (dead v 1) then exec v 1
        done;
-       let continue = ref true in
-       while !continue do
-         match EQ.pop eq with
-         | None -> continue := false
-         | Some (t, idx) -> (
-             now := t;
-             incr events;
-             let kind = arena.kind.(idx) in
-             let dir = arena.dir.(idx) in
-             let pulse = arena.pulse.(idx) in
-             let payload = arena.payload.(idx) in
-             arena_free arena idx;
-             match kind with
-             | 0 ->
-                 (* data arrival; ack back to the sender either way — the
-                    transport acks even when the host is dead *)
-                 let w = Hook.dir_dst h dir in
-                 if dead w pulse then Hook.note_lost h
-                 else Hook.deliver h ~dir ~pulse payload;
-                 incr ctrl_msgs;
-                 let l = Latency.draw lat in
-                 schedule ~kind:1 ~dir ~pulse ~time:(t +. l) [||]
-             | 1 ->
-                 (* ack arrival at the sender of [dir]'s data message *)
-                 let u = Hook.dir_src h dir in
-                 pending_acks.(u) <- pending_acks.(u) - 1;
-                 if pending_acks.(u) = 0 && not self_safe.(u) then
-                   become_safe u exec_pulse.(u) t
-             | _ ->
-                 (* safe(pulse) arrival at the receiver of [dir] *)
-                 let w = Hook.dir_dst h dir in
-                 safe_cnt.((2 * w) + (pulse land 1)) <-
-                   safe_cnt.((2 * w) + (pulse land 1)) + 1;
-                 if exec_pulse.(w) = pulse then try_advance w t)
+       while not (EQ.is_empty eq) do
+         clk.now <- EQ.min_time eq;
+         let dir = EQ.min_a eq in
+         let code = EQ.pop eq in
+         incr events;
+         let arg = code lsr 2 in
+         match code land 3 with
+         | 0 ->
+             (* kind_data: a data arrival; ack back to the sender either
+                way — the transport acks even when the host is dead *)
+             let pulse = Slots.pulse slots arg in
+             let payload = Slots.payload slots arg in
+             Slots.release slots arg;
+             let w = Hook.dir_dst h dir in
+             if dead w pulse then Hook.note_lost h
+             else Hook.deliver h ~dir ~pulse payload;
+             incr ctrl_msgs;
+             let l = Latency.draw lat in
+             schedule ~dir ~time:(clk.now +. l) ((pulse lsl 2) lor kind_ack)
+         | 1 ->
+             (* kind_ack: at the sender of [dir]'s data message *)
+             let u = Hook.dir_src h dir in
+             pending_acks.(u) <- pending_acks.(u) - 1;
+             if pending_acks.(u) = 0 && not self_safe.(u) then
+               become_safe u exec_pulse.(u)
+         | _ ->
+             (* kind_safe: safe(arg) at the receiver of [dir] *)
+             let w = Hook.dir_dst h dir in
+             safe_cnt.((2 * w) + (arg land 1)) <-
+               safe_cnt.((2 * w) + (arg land 1)) + 1;
+             if exec_pulse.(w) = arg then try_advance w
        done
      with Stop -> ()
    end
    else converged := true);
-  let sim_time = if !converged && !rounds = 0 then 0.0 else !now in
+  let sim_time = if !converged && !rounds = 0 then 0.0 else clk.now in
   let stats = Hook.finish h ~rounds:!rounds ~converged:(!converged && not !capped) in
   let tl =
     if not timeline then [||]
@@ -454,14 +412,3 @@ let observe ~label ~spec s =
     in
     Obs.Sink.emit ~type_:"asynch_summary" fields
   end
-
-(* sync-equality oracle: the same algorithm on both substrates must land
-   in structurally equal states with the same round count *)
-let check ?bandwidth ?max_rounds ?faults ~spec g algo =
-  let sync_states, sync_stats =
-    Network.run ?bandwidth ?max_rounds ?faults g algo
-  in
-  let async_states, async_stats, _ =
-    run ?bandwidth ?max_rounds ?faults ~spec g algo
-  in
-  sync_states = async_states && sync_stats.Network.rounds = async_stats.Network.rounds

@@ -8,14 +8,19 @@
     consumes exactly the inbox the synchronous engine would hand it, in
     the same descending-sender order — final states and round counts are
     byte-identical to [Congest.Network.run] by construction (and checked
-    by {!check}).  What changes is *time*: the run reports how much
-    simulated time the lock-step abstraction costs under a given latency
-    distribution, and how much control traffic (acks + safes) the
-    synchronizer burns to maintain it.
+    by the sync-equality oracle in [test/test_asynch.ml]).  What changes
+    is *time*: the run reports how much simulated time the lock-step
+    abstraction costs under a given latency distribution, and how much
+    control traffic (acks + safes) the synchronizer burns to maintain
+    it.
 
     Determinism: the event queue is keyed [(delivery_time, edge, seq)]
     and all samples come from the spec's named streams in event order, so
-    a run is a pure function of (graph, algorithm, spec, fault plan). *)
+    a run is a pure function of (graph, algorithm, spec, fault plan).
+
+    Cost: after warm-up an ack or safe event allocates nothing — its
+    pulse and kind ride in the heap payload and its edge is the heap key;
+    only a data event takes a payload slot, for the copied message. *)
 
 type report = {
   pulses : int;  (** synchronizer pulses = synchronous rounds *)
@@ -78,14 +83,3 @@ val observe : label:string -> spec:Latency.spec -> summary -> unit
 
 val summary_fields :
   label:string -> spec:Latency.spec -> summary -> (string * Obs.Sink.json) list
-
-val check :
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?faults:Faults.plan ->
-  spec:Latency.spec ->
-  Graphlib.Graph.t ->
-  'st Congest.Network.algo ->
-  bool
-(** Sync-equality oracle: run the algorithm on both substrates and
-    compare final states (structural equality) and round counts. *)

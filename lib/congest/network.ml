@@ -126,13 +126,19 @@ let err_bandwidth ctx w words =
         %d)"
        ctx.round ctx.node w words ctx.bandwidth)
 
-(* stamp [payload] into slot [dir] of the arena read at [round] *)
+(* stamp [payload] into slot [dir] of the arena read at [round].  The
+   copy is an int loop, not [Array.blit]: the arena lives in the major
+   heap, where the C blit goes through the write barrier for every word,
+   while an int store needs none *)
 let[@inline] write_slot ctx ~round dir payload =
   let p = round land 1 in
   let words = Array.length payload in
   ctx.msg_round.(p).(dir) <- round;
   ctx.msg_len.(p).(dir) <- words;
-  Array.blit payload 0 ctx.arena.(p) (dir * ctx.bandwidth) words
+  let arena = ctx.arena.(p) and base = dir * ctx.bandwidth in
+  for j = 0 to words - 1 do
+    arena.(base + j) <- payload.(j)
+  done
 
 (* register [w] on the coming round's receiver list, once *)
 let[@inline] add_recv ctx w =

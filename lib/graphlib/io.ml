@@ -13,6 +13,13 @@ let to_string ?weights g =
 let located reader lineno msg =
   invalid_arg (Printf.sprintf "Io.%s: line %d: %s" reader lineno msg)
 
+(* the whitespace tokenizer both text formats share: fields are separated
+   by any run of spaces and tabs *)
+let fields line =
+  String.split_on_char '\t' line
+  |> List.concat_map (String.split_on_char ' ')
+  |> List.filter (fun tok -> tok <> "")
+
 let parse_vertex reader lineno tok =
   match int_of_string_opt tok with
   | Some v when v >= 0 -> v
@@ -26,7 +33,6 @@ let of_string s =
     List.mapi (fun i l -> (i + 1, String.trim l)) all
     |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
   in
-  let fields l = String.split_on_char ' ' l |> List.filter (( <> ) "") in
   match lines with
   | [] -> err (List.length all) "empty input (expected an \"n m\" header)"
   | (hl, header) :: rest ->
@@ -129,11 +135,7 @@ let of_edge_list ?n s =
       String.length line > 0 && (line.[0] = '#' || line.[0] = '%')
     in
     if not is_comment then begin
-      let fields =
-        String.split_on_char '\t' line
-        |> List.concat_map (String.split_on_char ' ')
-        |> List.filter (( <> ) "")
-      in
+      let fields = fields line in
       let parse_vertex = parse_vertex "of_edge_list" !lineno in
       match fields with
       | [] -> ()

@@ -51,15 +51,23 @@ let push q prio x =
 
 let peek q = if q.len = 0 then None else Some (q.prio.(0), q.data.(0))
 
-(* Event-queue variant: the same parallel-array min-heap, but keyed by
-   the composite (time, a, b) compared lexicographically with monomorphic
-   comparators, and carrying an immediate int payload.  A discrete-event
-   scheduler keys on (delivery_time, edge_id, seq): float time alone
-   cannot break ties deterministically (two messages can arrive at the
-   same instant), and boxing the key as a tuple would allocate on every
-   push.  Four parallel arrays — one float, three int — keep a push
-   allocation-free once the backing stores have grown.  decrease_key is
-   deliberately absent: an event, once scheduled, never reschedules. *)
+(* Event-queue variant: a min-heap over four parallel arrays (one float,
+   three int) keyed by the composite (time, a, b) compared
+   lexicographically, carrying an immediate int payload.  A
+   discrete-event scheduler keys on (delivery_time, edge_dir, seq): float
+   time alone cannot break ties deterministically (two messages can
+   arrive at the same instant), and boxing the key as a tuple would
+   allocate on every push.
+
+   Both sifts move entries into a hole and write the carried entry once,
+   with the key test inlined on the unboxed arrays; times are never NaN
+   (the asynch executors only add non-negative latencies to a clock that
+   starts at zero), so [<] and [=] on them order exactly as
+   [Float.compare] would.  The minimum is read field by field
+   ([min_time], [min_a]) and [pop] returns only its payload, so neither
+   side of the queue allocates once the backing stores have grown.
+   decrease_key is deliberately absent: an event, once scheduled, never
+   reschedules. *)
 module Event = struct
   type t = {
     mutable time : float array;
@@ -77,90 +85,93 @@ module Event = struct
   let size q = q.len
   let high_water q = q.hwm
 
-  (* strict lexicographic (time, a, b) less-than *)
-  let lt q i j =
-    let c = Float.compare q.time.(i) q.time.(j) in
-    if c <> 0 then c < 0
-    else
-      let c = Int.compare q.ka.(i) q.ka.(j) in
-      if c <> 0 then c < 0 else Int.compare q.kb.(i) q.kb.(j) < 0
-
   let grow q =
-    let cap = Array.length q.pay in
-    if q.len = cap then begin
-      let ncap = max 8 (2 * cap) in
-      let nt = Array.make ncap 0.0 in
-      let na = Array.make ncap 0 in
-      let nb = Array.make ncap 0 in
-      let np = Array.make ncap 0 in
-      Array.blit q.time 0 nt 0 q.len;
-      Array.blit q.ka 0 na 0 q.len;
-      Array.blit q.kb 0 nb 0 q.len;
-      Array.blit q.pay 0 np 0 q.len;
-      q.time <- nt;
-      q.ka <- na;
-      q.kb <- nb;
-      q.pay <- np
-    end
+    let ncap = max 8 (2 * q.len) in
+    let nt = Array.make ncap 0.0 in
+    let na = Array.make ncap 0 in
+    let nb = Array.make ncap 0 in
+    let np = Array.make ncap 0 in
+    Array.blit q.time 0 nt 0 q.len;
+    Array.blit q.ka 0 na 0 q.len;
+    Array.blit q.kb 0 nb 0 q.len;
+    Array.blit q.pay 0 np 0 q.len;
+    q.time <- nt;
+    q.ka <- na;
+    q.kb <- nb;
+    q.pay <- np
 
-  let swap q i j =
-    let t = q.time.(i) and a = q.ka.(i) and b = q.kb.(i) and p = q.pay.(i) in
-    q.time.(i) <- q.time.(j);
-    q.ka.(i) <- q.ka.(j);
-    q.kb.(i) <- q.kb.(j);
-    q.pay.(i) <- q.pay.(j);
-    q.time.(j) <- t;
-    q.ka.(j) <- a;
-    q.kb.(j) <- b;
-    q.pay.(j) <- p
+  (* the strict (time, a, b) order, inlined at every use so the float
+     keys stay unboxed *)
+  let[@inline] before (t1 : float) (a1 : int) (b1 : int) t2 a2 b2 =
+    t1 < t2 || (t1 = t2 && (a1 < a2 || (a1 = a2 && b1 < b2)))
 
-  let push q ~time ~a ~b payload =
-    grow q;
+  let[@inline] push q ~time ~a ~b payload =
+    if q.len = Array.length q.pay then grow q;
+    let tm = q.time and ka = q.ka and kb = q.kb and pay = q.pay in
     let i = ref q.len in
-    q.time.(!i) <- time;
-    q.ka.(!i) <- a;
-    q.kb.(!i) <- b;
-    q.pay.(!i) <- payload;
     q.len <- q.len + 1;
     if q.len > q.hwm then q.hwm <- q.len;
+    (* sift up: parents that order after the new key move down into the
+       hole *)
     let continue = ref true in
     while !continue && !i > 0 do
       let p = (!i - 1) / 2 in
-      if lt q !i p then begin
-        swap q p !i;
+      if before time a b tm.(p) ka.(p) kb.(p) then begin
+        tm.(!i) <- tm.(p);
+        ka.(!i) <- ka.(p);
+        kb.(!i) <- kb.(p);
+        pay.(!i) <- pay.(p);
         i := p
       end
       else continue := false
-    done
+    done;
+    tm.(!i) <- time;
+    ka.(!i) <- a;
+    kb.(!i) <- b;
+    pay.(!i) <- payload
 
-  let peek_time q = if q.len = 0 then None else Some q.time.(0)
+  let empty () = invalid_arg "Pqueue.Event: empty queue"
+  let[@inline] min_time q = if q.len = 0 then empty () else q.time.(0)
+  let min_a q = if q.len = 0 then empty () else q.ka.(0)
 
   let pop q =
-    if q.len = 0 then None
-    else begin
-      let top = (q.time.(0), q.pay.(0)) in
-      q.len <- q.len - 1;
-      if q.len > 0 then begin
-        q.time.(0) <- q.time.(q.len);
-        q.ka.(0) <- q.ka.(q.len);
-        q.kb.(0) <- q.kb.(q.len);
-        q.pay.(0) <- q.pay.(q.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < q.len && lt q l !smallest then smallest := l;
-          if r < q.len && lt q r !smallest then smallest := r;
-          if !smallest <> !i then begin
-            swap q !smallest !i;
-            i := !smallest
+    if q.len = 0 then empty ();
+    let tm = q.time and ka = q.ka and kb = q.kb and pay = q.pay in
+    let top = pay.(0) in
+    let n = q.len - 1 in
+    q.len <- n;
+    if n > 0 then begin
+      (* sift down: the last entry is carried from the root; the smaller
+         child moves up into the hole while it orders before the carried
+         key *)
+      let time = tm.(n) and a = ka.(n) and b = kb.(n) in
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if r < n && before tm.(r) ka.(r) kb.(r) tm.(l) ka.(l) kb.(l) then r
+            else l
+          in
+          if before tm.(c) ka.(c) kb.(c) time a b then begin
+            tm.(!i) <- tm.(c);
+            ka.(!i) <- ka.(c);
+            kb.(!i) <- kb.(c);
+            pay.(!i) <- pay.(c);
+            i := c
           end
           else continue := false
-        done
-      end;
-      Some top
-    end
+        end
+      done;
+      tm.(!i) <- time;
+      ka.(!i) <- a;
+      kb.(!i) <- b;
+      pay.(!i) <- pay.(n)
+    end;
+    top
 end
 
 let pop q =

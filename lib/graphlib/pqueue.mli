@@ -12,12 +12,15 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 
 (** Event-queue min-heap for discrete-event simulation: entries are keyed
-    by the lexicographic composite [(time, a, b)] — for the async CONGEST
-    executor, [(delivery_time, edge_id, seq)] — so same-instant events pop
-    in a replay-exact deterministic order.  Payloads are immediate ints
-    (indices into a caller-owned event arena); a push allocates nothing
-    once the backing stores have grown.  There is no [decrease_key]: a
-    scheduled event never reschedules. *)
+    by the lexicographic composite [(time, a, b)] — for the asynch
+    executors, [(delivery_time, edge_direction, seq)] — so same-instant
+    events pop in a replay-exact deterministic order.  Payloads are
+    immediate ints the caller encodes (an event kind, a pulse, a payload
+    slot).  Both sifts move entries into a hole and write the carried
+    entry once, and the minimum is read field by field, so neither
+    [push] nor [pop] allocates once the backing stores have grown.
+    Times must not be NaN.  There is no [decrease_key]: a scheduled event
+    never reschedules. *)
 module Event : sig
   type t
 
@@ -30,8 +33,16 @@ module Event : sig
 
   val push : t -> time:float -> a:int -> b:int -> int -> unit
 
-  val pop : t -> (float * int) option
-  (** Minimum-key event as [(time, payload)]. *)
+  val min_time : t -> float
+  (** Time of the minimum-key event.
+      @raise Invalid_argument on an empty queue. *)
 
-  val peek_time : t -> float option
+  val min_a : t -> int
+  (** [a] key of the minimum-key event.
+      @raise Invalid_argument on an empty queue. *)
+
+  val pop : t -> int
+  (** Removes the minimum-key event and returns its payload; read its
+      keys first with {!min_time} and {!min_a}.
+      @raise Invalid_argument on an empty queue. *)
 end

@@ -427,6 +427,19 @@ let test_io_comments_and_errors () =
   raises "duplicate weighted edge" "line 4: self-loop or duplicate edge in weighted input"
     "3 3\n0 1 1.0\n1 2 1.0\n1 0 2.0\n"
 
+(* tabs separate fields like spaces do, in the header, edge and weighted
+   lines alike, and mixed with spaces *)
+let test_io_tabs () =
+  let g, w = Io.of_string "3\t2\n0\t1\n1 \t 2\n" in
+  check_int "tab-separated vertices" 3 (Graph.n g);
+  check_int "tab-separated edges" 2 (Graph.m g);
+  check "tab-separated edge 0-1" true (Graph.mem_edge g 0 1);
+  check "tab-separated edge 1-2" true (Graph.mem_edge g 1 2);
+  check "unweighted" true (w = None);
+  let g, w = Io.of_string "3\t2\n0\t1\t0.5\n1\t2\t\t2.5\n" in
+  check_int "weighted tab-separated edges" 2 (Graph.m g);
+  check "tab-separated weights" true (w = Some [| 0.5; 2.5 |])
+
 let test_io_file_roundtrip () =
   let g = Generators.petersen () in
   let path = Filename.temp_file "graph" ".txt" in
@@ -523,6 +536,7 @@ let () =
         [
           Alcotest.test_case "weighted roundtrip" `Quick test_io_roundtrip_weighted;
           Alcotest.test_case "comments and errors" `Quick test_io_comments_and_errors;
+          Alcotest.test_case "tab-separated fields" `Quick test_io_tabs;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
         ]
         @ qsuite [ test_io_roundtrip_unweighted ] );

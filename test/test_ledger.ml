@@ -1,6 +1,6 @@
 (* The bench-ledger tools, driven from outside as subprocesses:
    tools/bench_diff.exe (the regression gate), tools/jsonl_check.exe
-   --ledger (the validator) and bench/main.exe's argument check.
+   --ledger (the validator) and bench/main.exe's argument checks.
 
    Every ledger here is built from ledger_fae69a3.json, a frozen copy of
    the rev fae69a3 baseline entry with its per-experiment spans stripped.
@@ -418,6 +418,40 @@ let test_bench_unknown_only () =
     (contains out "E1" && contains out "AS1");
   check_bool "nothing appended" false (Sys.file_exists ledger)
 
+(* the bench's one flag table: --help prints it and runs nothing; an
+   unknown argument or a value flag without its value is named, with the
+   usage, and exits 2 before any experiment starts *)
+let test_bench_flags () =
+  let ran out = contains out "=== " in
+  List.iter
+    (fun args ->
+      let code, out = run bench args in
+      let what = String.concat " " args in
+      check_int (what ^ ": exit 0\n" ^ out) 0 code;
+      check_bool (what ^ ": usage lists the flags\n" ^ out) true
+        (contains out "usage:" && contains out "--no-cache"
+        && contains out "--date DATE");
+      check_bool (what ^ ": nothing ran\n" ^ out) false (ran out))
+    [ [ "--help" ]; [ "--only"; "E1"; "--no-timing"; "--help" ] ];
+  List.iter
+    (fun (args, names) ->
+      let ledger = Filename.temp_file "ledger" ".jsonl" in
+      Sys.remove ledger;
+      let args = [ "--no-timing"; "--ledger"; ledger ] @ args in
+      let code, out = run bench args in
+      let what = String.concat " " args in
+      check_int (what ^ ": exit 2\n" ^ out) 2 code;
+      check_bool (what ^ ": names " ^ names ^ "\n" ^ out) true
+        (contains out names && contains out "usage:");
+      check_bool (what ^ ": nothing ran\n" ^ out) false (ran out);
+      check_bool (what ^ ": nothing appended") false (Sys.file_exists ledger))
+    [
+      ([ "--only"; "E1"; "--bogus" ], "\"--bogus\"");
+      ([ "E1" ], "\"E1\"");
+      ([ "--only" ], "--only needs a value");
+      ([ "--jsonl"; "--only"; "E1" ], "--jsonl needs a value");
+    ]
+
 let test_jsonl_check_bad_input () =
   let file = write_ledger [ baseline ] in
   List.iter
@@ -457,6 +491,8 @@ let () =
           case "validator names the missing field" test_validator_names_field;
           case "unknown baseline rev exits 2" test_unknown_baseline_rev;
           case "bench --only with an unknown id exits 2" test_bench_unknown_only;
+          case "bench flags: --help runs nothing, bad ones exit 2"
+            test_bench_flags;
           case "jsonl_check bad input exits 2" test_jsonl_check_bad_input;
         ] );
     ]

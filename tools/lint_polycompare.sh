@@ -4,7 +4,8 @@
 # Polymorphic `compare` (= Stdlib.compare) walks the runtime representation
 # of its arguments: on boxed floats and tuples it is the single largest cost
 # of a million-element sort, and on abstract types it is silently wrong.
-# The hot-path directories (lib/graphlib, lib/congest) must use monomorphic
+# The hot-path directories (lib/graphlib, lib/congest, and lib/asynch, whose
+# event loop runs once per simulated event) must use monomorphic
 # comparators — Int.compare, Float.compare, String.compare, or an explicit
 # record/pair comparator.
 #
@@ -13,7 +14,7 @@
 #    (word matches only: `Int.compare` has a `.` before the word and does
 #    not match; names like `compare_foo` or words like `comparison` do not
 #    match either).
-# 2. An `nm -u` pass over the native objects of both libraries fails on
+# 2. An `nm -u` pass over the native objects of the three libraries fails on
 #    any reference to the runtime's generic comparison or generic Bigarray
 #    primitives.  These appear when the type checker generalises a
 #    comparison or a Bigarray argument — an unannotated `<` on a
@@ -24,7 +25,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 matches=$(grep -nE '(^|[^.[:alnum:]_])(compare|Stdlib\.compare)([^[:alnum:]_]|$)' \
-  lib/graphlib/*.ml lib/congest/*.ml || true)
+  lib/graphlib/*.ml lib/congest/*.ml lib/asynch/*.ml || true)
 if [ -n "$matches" ]; then
   echo "lint-polycompare: polymorphic compare in hot-path directories:" >&2
   echo "$matches" >&2
@@ -39,7 +40,7 @@ if ! command -v nm >/dev/null 2>&1; then
 fi
 forbidden='_?(caml_ba_get_[0-9]+|caml_ba_set_[0-9]+|caml_lessthan|caml_lessequal|caml_greaterthan|caml_greaterequal|caml_compare|caml_equal|caml_notequal)'
 hits=""
-for lib in graphlib congest; do
+for lib in graphlib congest asynch; do
   dir="_build/default/lib/$lib/.$lib.objs/native"
   for obj in "$dir"/*.o; do
     if [ ! -f "$obj" ]; then
@@ -61,4 +62,4 @@ if [ -n "$hits" ]; then
   echo "the compiler specialises them (see DESIGN.md section 15)" >&2
   exit 1
 fi
-echo "lint-polycompare: OK (lib/graphlib, lib/congest: no polymorphic compare in source or objects)"
+echo "lint-polycompare: OK (lib/graphlib, lib/congest, lib/asynch: no polymorphic compare in source or objects)"
