@@ -1263,10 +1263,11 @@ let s1 () =
   section "S1 (scale): million-node substrate, CSR build + BFS + MST";
   Printf.printf
     "the CSR core at n >= 10^6 on one structured and one power-law family:\n\
-     build the graph, BFS from vertex 0, then Kruskal over seeded random\n\
-     weights (a spanning forest when the family is disconnected).  Build,\n\
-     BFS and MST wall times plus peak RSS land in the ledger entry and the\n\
-     JSONL scale events; stdout stays deterministic\n";
+     build the graph, BFS from vertex 0, then a Boruvka MST over seeded\n\
+     random weights: the forest is Kruskal's under (weight, edge id) order\n\
+     (a spanning forest when the family is disconnected).  Build, BFS and\n\
+     MST wall times plus peak RSS land in the ledger entry and the JSONL\n\
+     scale events; stdout stays deterministic\n";
   let families =
     [ ("grid-1024x1024", `Grid (1024, 1024)); ("rmat-s20-ef8", `Rmat (20, 8)) ]
   in

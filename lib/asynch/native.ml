@@ -89,8 +89,7 @@ let run ?(bandwidth = 4) ?(max_events = 10_000_000) ~spec g algo =
           last_depart.(dir) <- d;
           d
     in
-    (* a native message belongs to no pulse *)
-    let slot = Slots.alloc slots ~pulse:0 (Array.copy payload) in
+    let slot = Slots.alloc slots (Array.copy payload) in
     incr seq;
     EQ.push eq ~time:(depart +. l) ~a:dir ~b:!seq slot
   in

@@ -1,17 +1,17 @@
-(** Payload slots for the asynch executors' in-flight data events: the
-    event heap's int payload names a slot, which holds the message words
-    and the pulse they belong to.  Freed slots are reused from an int
-    stack, so steady state allocates nothing here. *)
+(** Payload slots for the native executor's in-flight messages: the event
+    heap's int payload names a slot, which holds the message words.  Freed
+    slots are reused from an int stack, so steady state allocates nothing
+    here.  The α-synchronizer needs none: its messages wait in the
+    fabric's parity arenas (see [Congest.Network.Hook]). *)
 
 type t
 
 val create : unit -> t
 
-val alloc : t -> pulse:int -> int array -> int
-(** Store a payload (kept, not copied) and its pulse; returns the slot. *)
+val alloc : t -> int array -> int
+(** Store a payload (kept, not copied); returns the slot. *)
 
 val payload : t -> int -> int array
-val pulse : t -> int -> int
 
 val release : t -> int -> unit
 (** Drop the slot's payload and make the slot reusable. *)

@@ -66,10 +66,11 @@ let gadd g i d =
 type clock = { mutable now : float }
 
 (* An event is one heap entry keyed (time, directed edge, seq); its int
-   payload is a code whose low two bits are the kind.  A data event
-   carries its payload slot above them; an ack or a safe carries only
-   its pulse, and its edge is the heap key, so control events take no
-   slot at all. *)
+   payload is a code whose low two bits are the kind and whose other bits
+   are a pulse.  Its edge is the heap key, so no event takes a slot: a
+   data event's words already sit in the receiver's parity arena, written
+   there at send time (see [Hook.create]), and its arrival only decides
+   whether the message was lost and sends the ack. *)
 let kind_data = 0
 let kind_ack = 1
 let kind_safe = 2
@@ -83,7 +84,6 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
   let lat = Latency.sampler spec in
   let caps = Latency.edge_caps spec ~m in
   let eq = EQ.create () in
-  let slots = Slots.create () in
   let seq = ref 0 in
   let clk = { now = 0.0 } in
   let data_msgs = ref 0 and ctrl_msgs = ref 0 and events = ref 0 in
@@ -104,7 +104,9 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
     incr seq;
     EQ.push eq ~time ~a:dir ~b:!seq code
   in
-  let on_send ~dir ~dst:_ ~delay_rounds ~payload =
+  (* the hook has already written the words into the arena, stamped for
+     the receiver's next pulse *)
+  let on_send ~dir ~dst:_ ~delay_rounds ~words =
     incr data_msgs;
     incr cur_sends;
     let pulse = !cur_pulse + 1 in
@@ -114,40 +116,58 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
       match caps with
       | None -> clk.now
       | Some c ->
-          let tx = float_of_int (Array.length payload) /. c.(dir / 2) in
+          let tx = float_of_int words /. c.(dir / 2) in
           let d = Float.max clk.now last_depart.(dir) +. tx in
           last_depart.(dir) <- d;
           d
     in
-    let slot = Slots.alloc slots ~pulse (Array.copy payload) in
-    schedule ~dir ~time:(depart +. l) ((slot lsl 2) lor kind_data)
+    schedule ~dir ~time:(depart +. l) ((pulse lsl 2) lor kind_data)
   in
   let h, states = Hook.create ~bandwidth ?trace ?faults ~on_send g algo in
+  (* crash rounds are fixed when the run starts, so everything the wave
+     and safe bookkeeping needs from them is derived here, once *)
   let crash_at = Array.init n (fun v -> Hook.crash_round h v) in
-  let have_crashes = Array.exists (fun c -> c >= 0) crash_at in
   let dead v pulse = crash_at.(v) >= 0 && pulse >= crash_at.(v) in
+  let crash_rounds =
+    Array.of_list
+      (List.sort Int.compare
+         (List.filter (fun c -> c >= 0) (Array.to_list crash_at)))
+  in
+  (* nodes alive at [pulse]: n less the crash rounds <= pulse, counted by
+     binary search over the sorted rounds *)
   let alive_at pulse =
-    if not have_crashes then n
-    else begin
-      let c = ref 0 in
-      for v = 0 to n - 1 do
-        if not (dead v pulse) then incr c
-      done;
-      !c
-    end
+    let lo = ref 0 and hi = ref (Array.length crash_rounds) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if crash_rounds.(mid) <= pulse then lo := mid + 1 else hi := mid
+    done;
+    n - !lo
+  in
+  (* per node, the crash rounds of its crashed neighbors, one per
+     adjacency entry; empty for every node when nothing crashes *)
+  let crashed_nbrs =
+    if Array.length crash_rounds = 0 then [||]
+    else
+      Array.init n (fun v ->
+          let l = ref [] in
+          for i = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+            let c = crash_at.(Graph.adj_dst g i) in
+            if c >= 0 then l := c :: !l
+          done;
+          Array.of_list !l)
   in
   (* safes expected for advancing past pulse p: one per neighbor still
      alive at p (dead neighbors never emit safe(p); the simulator's
      perfect failure detector stops waiting for them) *)
   let required_safes v p =
-    if not have_crashes then Graph.degree g v
-    else begin
-      let c = ref 0 in
-      for i = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
-        if not (dead (Graph.adj_dst g i) p) then incr c
-      done;
-      !c
-    end
+    let req = ref (Graph.degree g v) in
+    if Array.length crashed_nbrs > 0 then begin
+      let cs = crashed_nbrs.(v) in
+      for i = 0 to Array.length cs - 1 do
+        if p >= cs.(i) then decr req
+      done
+    end;
+    !req
   in
   (* the handlers run at the clock's current time, [clk.now] *)
   let rec exec v p =
@@ -242,17 +262,13 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults
          let arg = code lsr 2 in
          match code land 3 with
          | 0 ->
-             (* kind_data: a data arrival; ack back to the sender either
+             (* kind_data: a data arrival for pulse [arg], whose words
+                are already in the arena; ack back to the sender either
                 way — the transport acks even when the host is dead *)
-             let pulse = Slots.pulse slots arg in
-             let payload = Slots.payload slots arg in
-             Slots.release slots arg;
-             let w = Hook.dir_dst h dir in
-             if dead w pulse then Hook.note_lost h
-             else Hook.deliver h ~dir ~pulse payload;
+             if dead (Hook.dir_dst h dir) arg then Hook.note_lost h;
              incr ctrl_msgs;
              let l = Latency.draw lat in
-             schedule ~dir ~time:(clk.now +. l) ((pulse lsl 2) lor kind_ack)
+             schedule ~dir ~time:(clk.now +. l) ((arg lsl 2) lor kind_ack)
          | 1 ->
              (* kind_ack: at the sender of [dir]'s data message *)
              let u = Hook.dir_src h dir in

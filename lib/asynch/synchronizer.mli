@@ -18,9 +18,12 @@
     and all samples come from the spec's named streams in event order, so
     a run is a pure function of (graph, algorithm, spec, fault plan).
 
-    Cost: after warm-up an ack or safe event allocates nothing — its
-    pulse and kind ride in the heap payload and its edge is the heap key;
-    only a data event takes a payload slot, for the copied message. *)
+    Cost: after warm-up no event allocates — its pulse and kind ride in
+    the heap payload and its edge is the heap key.  A data message's
+    words are written into the fabric's parity arena when it is sent
+    (see [Congest.Network.Hook]), so the executor never copies or holds
+    a payload, and a crash plan's live counts are derived once per run
+    from the fixed crash rounds. *)
 
 type report = {
   pulses : int;  (** synchronizer pulses = synchronous rounds *)

@@ -64,13 +64,10 @@ let add_stats a b =
 type deferred = {
   fs : Faults.state option;  (* None: a hook without a live plan *)
   sent : int array;  (* per dir: last round a send was made on it *)
-  accept : dir:int -> dst:int -> extra:int -> int array -> bool;
+  accept : ctx -> dir:int -> dst:int -> extra:int -> int array -> bool;
 }
 
-(* the directed slot of edge [e] leaving endpoint [u] *)
-let[@inline] dir_of g e u = if Graph.edge_u g e = u then 2 * e else (2 * e) + 1
-
-type ctx = {
+and ctx = {
   g : Graph.t;
   bandwidth : int;
   arena : int array array;  (* 2 parity buffers of 2m * bandwidth words *)
@@ -94,6 +91,9 @@ type ctx = {
   trace : Trace.t option;
   defer : deferred option;
 }
+
+(* the directed slot of edge [e] leaving endpoint [u] *)
+let[@inline] dir_of g e u = if Graph.edge_u g e = u then 2 * e else (2 * e) + 1
 
 let node ctx = ctx.node
 let round ctx = ctx.round
@@ -182,7 +182,7 @@ let deliver_deferred ctx d w dir payload =
         then -1
         else Faults.delay_roll fs
   in
-  if extra >= 0 && d.accept ~dir ~dst:w ~extra payload then begin
+  if extra >= 0 && d.accept ctx ~dir ~dst:w ~extra payload then begin
     account ctx dir words;
     if extra > 0 then begin
       ctx.delayed <- ctx.delayed + 1;
@@ -347,7 +347,7 @@ let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
     | Some f ->
         let last_due = Array.make (2 * m) 0 in
         let buckets = Hashtbl.create 64 in
-        let accept ~dir ~dst ~extra payload =
+        let accept _ ~dir ~dst ~extra payload =
           let due = max (!round + 1 + extra) (last_due.(dir) + 1) in
           let cw = Faults.crash_round f dst in
           (* refused: the receiver is dead by the time this would arrive *)
@@ -507,13 +507,16 @@ let run ?(bandwidth = 4) ?(max_rounds = 1_000_000) ?trace ?faults g algo =
    delivery order, the hook owns everything the synchronous engine knows
    about the fabric — ctx construction, the deferred send (validation,
    fault gauntlet, accounting), the parity arenas, the inbox view, and
-   the algorithm states.  Its [accept] hands every surviving message to
-   [on_send] and never refuses: only the executor knows when a message
-   lands, so it enforces receiver crashes at arrival ([note_lost]).  The
-   α-synchronizer's invariant (at most two pulses of undelivered messages
-   per directed edge, because pulse p + 2 sends require the safe(p + 1)
-   handshake, which happens after the pulse p + 1 consumption) is exactly
-   what the two parity-indexed arenas need to stay collision-free. *)
+   the algorithm states.  Its [accept] writes every surviving message
+   into the arena at once, stamped for the sender's pulse + 1, tells
+   [on_send] its word count and never refuses: only the executor knows
+   when a message lands, so it enforces receiver crashes at arrival
+   ([note_lost]).  The α-synchronizer's invariant makes the early write
+   safe: a node sends pulse p + 2 mail on a slot only after the
+   receiver's safe(p + 1), which follows the receiver's consumption of
+   the slot's pulse p + 1 message, and a receiver consumes pulse p + 1
+   only after all its pulse p + 1 mail has arrived.  A dead receiver
+   never reads its slot. *)
 module Hook = struct
   type t = {
     hctx : ctx;
@@ -526,8 +529,11 @@ module Hook = struct
 
   let create ?(bandwidth = 4) ?trace ?faults ~on_send g algo =
     let fs = start_faults faults g in
-    let accept ~dir ~dst ~extra payload =
-      on_send ~dir ~dst ~delay_rounds:extra ~payload;
+    (* the words land in the arena now, stamped for the receiver's next
+       pulse; the header's invariant keeps the slot free until then *)
+    let accept ctx ~dir ~dst ~extra payload =
+      write_slot ctx ~round:(ctx.round + 1) dir payload;
+      on_send ~dir ~dst ~delay_rounds:extra ~words:(Array.length payload);
       true
     in
     let defer = { fs; sent = Array.make (2 * Graph.m g) (-1); accept } in
@@ -564,8 +570,6 @@ module Hook = struct
 
   let crash_round t v =
     match t.fs with Some fs -> Faults.crash_round fs v | None -> -1
-
-  let deliver t ~dir ~pulse payload = write_slot t.hctx ~round:pulse dir payload
 
   (* one inbox scan per pulse: the same predicate the synchronous
      worklist applies, mail or awake *)

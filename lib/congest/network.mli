@@ -184,12 +184,18 @@ val with_runner : runner -> (unit -> 'a) -> 'a
     engine knows about the fabric — the same deferred send (validation,
     fault gauntlet, accounting) the synchronous engine runs under a fault
     plan, parity arenas, inbox views, algorithm states — while the
-    caller owns time: it receives every accepted send through [on_send],
-    decides when it arrives, blits it back with {!Hook.deliver}, and runs
-    node steps with {!Hook.step}.  Correct use requires the caller to
-    keep at most two pulses of undelivered messages per directed edge
-    (the α-synchronizer guarantees this structurally), matching the two
-    parity-indexed arenas. *)
+    caller owns time: it hears of every accepted send through [on_send],
+    decides when it arrives, and runs node steps with {!Hook.step}.
+
+    An accepted message's words are written into the receiver's parity
+    arena at send time, stamped for the pulse after the sender's, so the
+    caller never handles a payload.  That is sound only if the caller
+    keeps the α-synchronizer's order: a node runs pulse [q + 2] (and so
+    rewrites that arena slot) only after the receiver has consumed the
+    slot's pulse-[q + 1] message and sent its safe([q + 1]), and a
+    receiver consumes pulse [q + 1] only after every pulse-[q + 1]
+    message to it has arrived.  A receiver that is dead by then never
+    reads the slot. *)
 module Hook : sig
   type t
 
@@ -197,17 +203,17 @@ module Hook : sig
     ?bandwidth:int ->
     ?trace:Trace.t ->
     ?faults:Faults.plan ->
-    on_send:
-      (dir:int -> dst:int -> delay_rounds:int -> payload:int array -> unit) ->
+    on_send:(dir:int -> dst:int -> delay_rounds:int -> words:int -> unit) ->
     Graphlib.Graph.t ->
     'st algo ->
     t * (unit -> 'st array)
   (** Build the engine instance and return it with a reader for the live
       states array.  [on_send] fires for every message that passes
       validation and the fault gauntlet, while the sender's step is
-      running: [dir] is the directed-edge slot, [dst] the receiver,
-      [delay_rounds] the fault plan's delay roll (0 without one), and
-      [payload] a live scratch buffer the callee must copy.  Link, drop
+      running, after its words are in the arena: [dir] is the
+      directed-edge slot, [dst] the receiver, [delay_rounds] the fault
+      plan's delay roll (0 without one), and [words] the payload length
+      (what a bandwidth-capped link serializes).  Link, drop
       and delay faults are consumed here at send time, in send order, by
       the synchronous engine's own gauntlet and streams; a message
       [on_send] receives is counted as sent, one the gauntlet loses as
@@ -229,10 +235,6 @@ module Hook : sig
 
   val crash_round : t -> int -> int
   (** First pulse the node is dead per the fault plan, or [-1]. *)
-
-  val deliver : t -> dir:int -> pulse:int -> int array -> unit
-  (** Blit a payload into the arena slot for [dir], stamped for
-      consumption by the receiver's step at [pulse]. *)
 
   val step : t -> node:int -> pulse:int -> unit
   (** Fill the node's inbox view from the messages stamped [pulse] (in

@@ -76,4 +76,3 @@ let dist_report_fields r =
     ("mean_err", Obs.Sink.Float r.mean_err);
   ]
 
-let dist_report_json r = Obs.Sink.Obj (dist_report_fields r)

@@ -36,4 +36,3 @@ val weight_gap : reference:float -> observed:float -> float
     degradation metric (0 on an exact run). *)
 
 val dist_report_fields : dist_report -> (string * Obs.Sink.json) list
-val dist_report_json : dist_report -> Obs.Sink.json

@@ -115,4 +115,3 @@ let plan_fields p =
     ("crashes", Obs.Sink.Int (List.length p.crashes));
   ]
 
-let plan_json p = Obs.Sink.Obj (plan_fields p)

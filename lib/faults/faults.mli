@@ -87,4 +87,3 @@ val delay_roll : state -> int
     [plan.delay]. *)
 
 val plan_fields : plan -> (string * Obs.Sink.json) list
-val plan_json : plan -> Obs.Sink.json

@@ -443,8 +443,6 @@ let rmat_build st ~scale ~edge_factor ~a ~b ~c =
   if Fastrand.active () then rmat_build_fast st ~scale ~edge_factor ~a ~b ~c
   else rmat_build_boxed st ~scale ~edge_factor ~a ~b ~c
 
-let rmat_fast_sampler_active = Fastrand.active
-
 let rmat ?state ?(a = 0.57) ?(b = 0.19) ?(c = 0.19) ~seed ~scale ~edge_factor () =
   if scale < 1 || scale > 30 then invalid_arg "Generators.rmat: scale must be in 1..30";
   if edge_factor < 1 then invalid_arg "Generators.rmat: edge_factor must be >= 1";

@@ -106,7 +106,3 @@ val rmat :
     [Faults.Rng] stream) to drive sampling from an external stream
     instead, which bypasses the cache. *)
 
-val rmat_fast_sampler_active : unit -> bool
-(** Diagnostics: whether RMAT sampling runs on the unboxed
-    [Fastrand.draw53] path (stream-identical to the boxed stdlib path —
-    the generated graphs never differ; only allocation and speed do). *)

@@ -226,8 +226,6 @@ module Builder = struct
     let cap = max 1 edges_hint in
     { bn; us = ints cap; vs = ints cap; len = 0 }
 
-  let raw_count b = b.len
-
   let grow b =
     let cap = 2 * Ba.dim b.us in
     let us = ints cap and vs = ints cap in

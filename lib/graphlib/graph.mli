@@ -128,9 +128,6 @@ module Builder : sig
       the historical [of_edges] semantics).
       @raise Invalid_argument on an out-of-range endpoint. *)
 
-  val raw_count : t -> int
-  (** Pairs recorded so far (before dedup). *)
-
   val build : t -> graph
   (** Seal: dedup keeping first occurrences, number surviving edges in
       insertion order, and lay out the CSR arrays.  The builder may be

@@ -16,11 +16,17 @@ val peek : 'a t -> (float * 'a) option
     executors, [(delivery_time, edge_direction, seq)] — so same-instant
     events pop in a replay-exact deterministic order.  Payloads are
     immediate ints the caller encodes (an event kind, a pulse, a payload
-    slot).  Both sifts move entries into a hole and write the carried
-    entry once, and the minimum is read field by field, so neither
-    [push] nor [pop] allocates once the backing stores have grown.
-    Times must not be NaN.  There is no [decrease_key]: a scheduled event
-    never reschedules. *)
+    slot).
+
+    Times sit in one unboxed float array and [a], [b] and the payload in
+    one int array with stride 3.  One branch-free predicate, the strict
+    [(time, a, b)] less-than, orders the heap: [pop] is Floyd's
+    bottom-up deletion (the hole walks to a leaf along the smaller
+    child, chosen without a branch, then the last entry sifts up from
+    there) and [push] sifts up into a hole.  The minimum is read field
+    by field, so neither [push] nor [pop] allocates once the backing
+    stores have grown.  Times must not be NaN.  There is no
+    [decrease_key]: a scheduled event never reschedules. *)
 module Event : sig
   type t
 

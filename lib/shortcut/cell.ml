@@ -1,5 +1,3 @@
-let of_tree_minus_apices tree ~apices = Apex_shortcut.cells_of_tree tree ~apices
-
 let bfs_cells ~seed g ~count = Part.voronoi ~seed g ~count
 
 let diameter g cells = Part.max_part_diameter g cells

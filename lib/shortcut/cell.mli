@@ -4,10 +4,6 @@
     {!Apex_shortcut.cells_of_tree}; this module adds generators and the
     diameter measurement the definition requires. *)
 
-val of_tree_minus_apices :
-  Graphlib.Spanning.tree -> apices:int array -> Part.t * int array
-(** Re-export of {!Apex_shortcut.cells_of_tree}. *)
-
 val bfs_cells : seed:int -> Graphlib.Graph.t -> count:int -> Part.t
 (** Voronoi cells: connected, cover every vertex, expected diameter
     O(n/count + D/...) — the generic low-diameter partition. *)

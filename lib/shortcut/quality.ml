@@ -46,10 +46,6 @@ let to_string r =
     r.d_tree r.nparts r.b r.c r.q
     (match r.obs_c with Some x -> string_of_int x | None -> "-")
 
-let print_table rows =
-  print_endline (header ());
-  List.iter (fun r -> print_endline (to_string r)) rows
-
 let ratio r bound = float_of_int r.q /. bound
 
 let fit_exponent_opt points =

@@ -21,7 +21,6 @@ val measure : label:string -> ?observed_congestion:int -> Shortcut.t -> row
 
 val header : unit -> string
 val to_string : row -> string
-val print_table : row list -> unit
 
 val ratio : row -> float -> float
 (** [ratio row bound] is [q / bound]: constant across a sweep iff the bound's

@@ -10,11 +10,6 @@ let root t =
   Array.iteri (fun i p -> if p < 0 then r := i) t.parent;
   !r
 
-let bags_of_vertex t ~n =
-  let where = Array.make n [] in
-  Array.iteri (fun b vs -> Array.iter (fun v -> where.(v) <- b :: where.(v)) vs) t.bags;
-  where
-
 let check g t =
   let n = Graph.n g in
   let nb = Array.length t.bags in

@@ -22,5 +22,3 @@ val of_elimination_order : Graphlib.Graph.t -> int array -> t
     attached to the bag of the earliest-eliminated bag member. Width equals
     the order's induced width. Requires a connected graph. *)
 
-val bags_of_vertex : t -> n:int -> int list array
-(** For each graph vertex, the bags containing it. *)
