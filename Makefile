@@ -97,23 +97,28 @@ bench-par-check:
 	$(MAKE) bench-cache-check
 
 # cache-invariance gate: the memo cache must not change what an experiment
-# computes.  Stdout must be byte-identical with the cache on and off, and
-# the JSONL data events (everything except spans and metrics, which
-# legitimately differ — a cache hit skips the producer's span and its
-# counters) must match modulo timestamps.
+# computes.  It runs R1, whose cache-on run serves hits from five spaces
+# (gen.apollonian, gen.torus_grid, gen.grid, spanning.bfs_tree,
+# generic.construct), so cached values are really compared.  Stdout must
+# be byte-identical with the cache on and off, minus the "wrote N events"
+# footer, and the JSONL data events must match modulo timestamps.  Spans,
+# metrics and the footer's span count legitimately differ: a cache hit
+# skips the producer's span and its counters.
 bench-cache-check:
 	dune build bench/main.exe
-	./_build/default/bench/main.exe --only E1 --no-timing --no-breakdown \
-	  --jsonl /tmp/e1-cache.jsonl > /tmp/e1-cache-on.out
-	cp /tmp/e1-cache.jsonl /tmp/e1-cache-on.jsonl
-	./_build/default/bench/main.exe --only E1 --no-timing --no-breakdown \
-	  --no-cache --jsonl /tmp/e1-cache.jsonl > /tmp/e1-cache-off.out
-	diff /tmp/e1-cache-on.out /tmp/e1-cache-off.out
-	grep -v -e '"type":"span"' -e '"type":"metrics"' /tmp/e1-cache-on.jsonl \
-	  | sed 's/"ts":[0-9.e-]*,//g' > /tmp/e1-cache-on.events
-	grep -v -e '"type":"span"' -e '"type":"metrics"' /tmp/e1-cache.jsonl \
-	  | sed 's/"ts":[0-9.e-]*,//g' > /tmp/e1-cache-off.events
-	diff /tmp/e1-cache-on.events /tmp/e1-cache-off.events
+	./_build/default/bench/main.exe --only R1 --no-timing --no-breakdown \
+	  --jsonl /tmp/r1-cache.jsonl > /tmp/r1-cache-on.raw
+	cp /tmp/r1-cache.jsonl /tmp/r1-cache-on.jsonl
+	./_build/default/bench/main.exe --only R1 --no-timing --no-breakdown \
+	  --no-cache --jsonl /tmp/r1-cache.jsonl > /tmp/r1-cache-off.raw
+	grep -v '^wrote [0-9]* events to ' /tmp/r1-cache-on.raw > /tmp/r1-cache-on.out
+	grep -v '^wrote [0-9]* events to ' /tmp/r1-cache-off.raw > /tmp/r1-cache-off.out
+	diff /tmp/r1-cache-on.out /tmp/r1-cache-off.out
+	grep -v -e '"type":"span"' -e '"type":"metrics"' /tmp/r1-cache-on.jsonl \
+	  | sed 's/"ts":[0-9.e-]*,//g' > /tmp/r1-cache-on.events
+	grep -v -e '"type":"span"' -e '"type":"metrics"' /tmp/r1-cache.jsonl \
+	  | sed 's/"ts":[0-9.e-]*,//g' > /tmp/r1-cache-off.events
+	diff /tmp/r1-cache-on.events /tmp/r1-cache-off.events
 
 # open-loop serving benchmark (SV1): Poisson arrivals over the query fleet,
 # cold and warm phases, latency quantiles into the ledger's "serve" section

@@ -67,12 +67,3 @@ let weight_gap ~reference ~observed =
   if reference = 0.0 then if observed = 0.0 then 0.0 else infinity
   else (observed -. reference) /. abs_float reference
 
-let dist_report_fields r =
-  [
-    ("compared", Obs.Sink.Int r.compared);
-    ("unreached", Obs.Sink.Int r.unreached);
-    ("wrong", Obs.Sink.Int r.wrong);
-    ("max_err", Obs.Sink.Float r.max_err);
-    ("mean_err", Obs.Sink.Float r.mean_err);
-  ]
-

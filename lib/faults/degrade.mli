@@ -34,5 +34,3 @@ val exact : dist_report -> bool
 val weight_gap : reference:float -> observed:float -> float
 (** Relative gap [(observed - reference) / |reference|] — the MST weight
     degradation metric (0 on an exact run). *)
-
-val dist_report_fields : dist_report -> (string * Obs.Sink.json) list

@@ -4,13 +4,15 @@ type planar = {
   outer_face : int array;
 }
 
-(* Memoized families (DESIGN.md section 10): every generator below is a
-   pure function of (family, params, seed), so the artifact cache can
-   fetch repeat builds.  Cached values are shared between callers —
-   planar records, graphs and attachment arrays are never mutated by
-   consumers; the one caller-owned array (k_tree's elimination order) is
-   copied out of the cache.  The trivial families (path, cycle, star,
-   wheel, ...) are cheaper than a lookup and stay unmemoized. *)
+(* Memoized families (DESIGN.md section 10): every generator is a pure
+   function of (family, params, seed), and the families that some
+   workload builds twice with one key keep a cache space, so the repeat
+   build fetches.  Cached values are shared between callers — planar
+   records, graphs and attachment arrays are never mutated by consumers;
+   the one caller-owned array (k_tree's elimination order) is copied out
+   of the cache.  The rest stay unmemoized: the trivial families (path,
+   cycle, star, wheel, ...) are cheaper than a lookup, and no workload
+   rebuilds random_tree, erdos_renyi or rmat with the same key. *)
 module FP = Memo.Fingerprint
 
 let m_grid : (int * int, planar) Memo.t =
@@ -37,16 +39,6 @@ let m_torus_grid : (int * int, Graph.t) Memo.t =
       FP.(empty |> int w |> int h))
   |> Memo.with_bytes_hint Graph.heap_bytes
 
-let m_erdos_renyi : (int * int * float, Graph.t) Memo.t =
-  Memo.create ~name:"gen.erdos_renyi" ~fp:(fun (seed, n, p) ->
-      FP.(empty |> int seed |> int n |> float p))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
-let m_random_tree : (int * int, Graph.t) Memo.t =
-  Memo.create ~name:"gen.random_tree" ~fp:(fun (seed, n) ->
-      FP.(empty |> int seed |> int n))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
 let m_cycle_with_apex : (int, Graph.t) Memo.t =
   Memo.create ~name:"gen.cycle_with_apex" ~fp:(fun n -> FP.(empty |> int n))
   |> Memo.with_bytes_hint Graph.heap_bytes
@@ -54,12 +46,6 @@ let m_cycle_with_apex : (int, Graph.t) Memo.t =
 let m_lower_bound : (int, Graph.t * int array) Memo.t =
   Memo.create ~name:"gen.lower_bound" ~fp:(fun p -> FP.(empty |> int p))
   |> Memo.with_bytes_hint (fun (g, _) -> Graph.heap_bytes g)
-
-let m_grid_with_handles : (int * int * int * int, planar * Graph.t) Memo.t =
-  Memo.create ~name:"gen.grid_with_handles" ~fp:(fun (seed, w, h, g) ->
-      FP.(empty |> int seed |> int w |> int h |> int g))
-  |> Memo.with_bytes_hint (fun (p, g) ->
-         Graph.heap_bytes p.graph + Graph.heap_bytes g)
 
 let m_add_apices : (int * Memo.Fingerprint.t * int * int, Graph.t) Memo.t =
   Memo.create ~name:"gen.add_apices" ~fp:(fun (seed, gfp, q, fanout) ->
@@ -99,12 +85,10 @@ let petersen () =
   Graph.of_edges 10 (outer @ spokes @ inner)
 
 let random_tree ~seed n =
-  Memo.find_or_compute m_random_tree (seed, n) @@ fun () ->
   let st = Random.State.make [| seed |] in
   Graph.of_edges n (List.init (max 0 (n - 1)) (fun i -> (i + 1, Random.State.int st (i + 1))))
 
 let erdos_renyi ~seed n p =
-  Memo.find_or_compute m_erdos_renyi (seed, n, p) @@ fun () ->
   let st = Random.State.make [| seed |] in
   let rec attempt tries =
     let acc = ref [] in
@@ -281,26 +265,6 @@ let torus_grid w h =
   done;
   Graph.of_edges (w * h) !acc
 
-let grid_with_handles ~seed w h g =
-  Memo.find_or_compute m_grid_with_handles (seed, w, h, g) @@ fun () ->
-  let base = grid w h in
-  let st = Random.State.make [| seed |] in
-  let b = base.outer_face in
-  let nb = Array.length b in
-  let extra = ref [] in
-  let tries = ref 0 in
-  while List.length !extra < g && !tries < 100 * g do
-    incr tries;
-    let u = b.(Random.State.int st nb) and v = b.(Random.State.int st nb) in
-    if u <> v && not (Graph.mem_edge base.graph u v) && not (List.mem (u, v) !extra)
-       && not (List.mem (v, u) !extra)
-    then extra := (u, v) :: !extra
-  done;
-  let edges =
-    Graph.fold_edges base.graph ~init:!extra ~f:(fun acc _ u v -> (u, v) :: acc)
-  in
-  (base, Graph.of_edges (Graph.n base.graph) edges)
-
 let add_apices ~seed g ~q ~fanout =
   Memo.find_or_compute m_add_apices (seed, Graph.fingerprint g, q, fanout)
   @@ fun () ->
@@ -367,13 +331,6 @@ let lower_bound_parts p =
 
 (* -- RMAT / power-law stress family (non-minor-free) -- *)
 
-let m_rmat : (int * int * int * float * float * float, Graph.t) Memo.t =
-  Memo.create ~name:"gen.rmat" ~fp:(fun (seed, scale, edge_factor, a, b, c) ->
-      FP.(
-        empty |> int seed |> int scale |> int edge_factor |> float a
-        |> float b |> float c))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
 (* One level's quadrant as the two-bit int [(bu lsl 1) lor bv], for a draw
    [r] against thresholds ta <= tab <= tabc (rounded sums of non-negative
    probabilities are monotone).  The if-chain
@@ -439,17 +396,11 @@ let rmat_build_fast st ~scale ~edge_factor ~a ~b ~c =
   done;
   Graph.Builder.build bld
 
-let rmat_build st ~scale ~edge_factor ~a ~b ~c =
-  if Fastrand.active () then rmat_build_fast st ~scale ~edge_factor ~a ~b ~c
-  else rmat_build_boxed st ~scale ~edge_factor ~a ~b ~c
-
 let rmat ?state ?(a = 0.57) ?(b = 0.19) ?(c = 0.19) ~seed ~scale ~edge_factor () =
   if scale < 1 || scale > 30 then invalid_arg "Generators.rmat: scale must be in 1..30";
   if edge_factor < 1 then invalid_arg "Generators.rmat: edge_factor must be >= 1";
   if a < 0.0 || b < 0.0 || c < 0.0 || a +. b +. c > 1.0 then
     invalid_arg "Generators.rmat: quadrant probabilities must be >= 0 and sum <= 1";
-  match state with
-  | Some st -> rmat_build st ~scale ~edge_factor ~a ~b ~c
-  | None ->
-      Memo.find_or_compute m_rmat (seed, scale, edge_factor, a, b, c) @@ fun () ->
-      rmat_build (Random.State.make [| seed |]) ~scale ~edge_factor ~a ~b ~c
+  let st = match state with Some st -> st | None -> Random.State.make [| seed |] in
+  if Fastrand.active () then rmat_build_fast st ~scale ~edge_factor ~a ~b ~c
+  else rmat_build_boxed st ~scale ~edge_factor ~a ~b ~c

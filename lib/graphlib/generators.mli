@@ -56,11 +56,6 @@ val k_tree : seed:int -> k:int -> int -> Graph.t * int array
 val torus_grid : int -> int -> Graph.t
 (** [torus_grid w h]: grid with wraparound in both dimensions; genus 1. *)
 
-val grid_with_handles : seed:int -> int -> int -> int -> planar * Graph.t
-(** [grid_with_handles ~seed w h g] returns the underlying planar grid and the
-    same grid with [g] extra "handle" edges between random distant boundary
-    vertices; Euler genus at most [g]. *)
-
 (** {1 Apexes and the lower-bound family} *)
 
 val add_apices : seed:int -> Graph.t -> q:int -> fanout:int -> Graph.t
@@ -102,7 +97,7 @@ val rmat :
     duplicate samples are dropped, so [m] lands slightly below
     [edge_factor * n].  Not minor-free and heavy-tailed — the stress
     family for the CSR substrate, not a shortcut-friendly input.
-    Deterministic in [seed] and memoized; pass [state] (e.g. a
-    [Faults.Rng] stream) to drive sampling from an external stream
-    instead, which bypasses the cache. *)
+    Deterministic in [seed]; pass [state] (e.g. a [Faults.Rng] stream)
+    to drive sampling from an external stream instead, in which case
+    [seed] is ignored. *)
 

@@ -106,8 +106,8 @@ val fingerprint : t -> Memo.Fingerprint.t
 
 val heap_bytes : t -> int
 (** Total bytes of the off-heap Bigarray payload.  [Obj.reachable_words]
-    does not see it, so memoized graph producers pass this as the
-    [Memo.create ~bytes_hint] so the cache's byte bound stays honest. *)
+    does not see it, so memoized graph producers pass this to
+    [Memo.with_bytes_hint] so the cache's byte bound stays honest. *)
 
 (** {1 Construction} *)
 

@@ -44,7 +44,6 @@ module Fingerprint = struct
     !h
 
   let int x h = int64 (Int64.of_int x) h
-  let float f h = int64 (Int64.bits_of_float f) h
   let bool b h = byte (if b then 1 else 0) h
 
   let string s h =
@@ -55,11 +54,6 @@ module Fingerprint = struct
   let ints a h =
     let h = ref (int (Array.length a) h) in
     Array.iter (fun x -> h := int x !h) a;
-    !h
-
-  let floats a h =
-    let h = ref (int (Array.length a) h) in
-    Array.iter (fun x -> h := float x !h) a;
     !h
 
   let int_list l h =

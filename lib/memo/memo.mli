@@ -1,8 +1,8 @@
 (** Keyed, bounded, domain-safe artifact cache (DESIGN.md section 10).
 
-    Expensive deterministic producers — generators, embeddings, tree
-    decompositions, Steiner forests, shortcut constructions — register a
-    typed cache space and wrap their computation:
+    Deterministic producers that some workload calls twice with one key —
+    generators, BFS trees, Steiner forests, shortcut constructions —
+    register a typed cache space and wrap their computation:
 
     {[
       let space =
@@ -47,11 +47,9 @@ module Fingerprint : sig
   val empty : t
   val int : int -> t -> t
   val int64 : int64 -> t -> t
-  val float : float -> t -> t
   val bool : bool -> t -> t
   val string : string -> t -> t
   val ints : int array -> t -> t
-  val floats : float array -> t -> t
   val int_list : int list -> t -> t
 
   val to_hex : t -> string

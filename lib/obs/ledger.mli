@@ -56,4 +56,5 @@ type verdict = {
 
 val gate : baseline:Sink.json -> current:Sink.json -> verdict
 (** Compare every gated metric of two valid entries of the same mode.
-    Time metrics are divided by [speed] first. *)
+    Time metrics are divided by [speed] first, except in the rows the
+    table marks raw (SV1's wall time, set by its arrival schedule). *)

@@ -352,11 +352,6 @@ let install t =
   current := Some t;
   active := true
 
-let uninstall () =
-  (match !current with Some t -> flush t | None -> ());
-  current := None;
-  active := false
-
 let write t j =
   if not t.closed then begin
     let slot = Domain.DLS.get slot_key in

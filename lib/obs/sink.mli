@@ -16,7 +16,7 @@
     sink's mutex only when a buffer fills (or at {!flush}/{!flush_local}),
     so concurrent writers from an [Exec.Pool] can never interleave bytes
     mid-line and the output remains valid JSONL.  The hot path takes no
-    lock.  Install/uninstall/close must happen while no worker domain is
+    lock.  Install and close must happen while no worker domain is
     writing (the pool's task handoff provides the needed ordering). *)
 
 type json =
@@ -75,7 +75,7 @@ val flush_local : unit -> unit
     usable from any domain that is about to stop writing. *)
 
 val close : t -> unit
-(** Flush, close the underlying channel, and uninstall the sink if it is
+(** Flush, close the underlying channel, and detach the sink if it is
     the installed one.  Idempotent. *)
 
 val event_count : t -> int
@@ -85,8 +85,6 @@ val event_count : t -> int
 (** {1 Global installation} *)
 
 val install : t -> unit
-val uninstall : unit -> unit
-(** Flush and detach the installed sink without closing its channel. *)
 
 val enabled : unit -> bool
 

@@ -89,10 +89,6 @@ let stat_for table (fr : frame) =
       Hashtbl.replace table fr.path st;
       st
 
-let add_attr k v =
-  let ds = Domain.DLS.get key in
-  match ds.stack with [] -> () | fr :: _ -> fr.attrs <- (k, v) :: fr.attrs
-
 let set_attr k v =
   let ds = Domain.DLS.get key in
   match ds.stack with

@@ -25,13 +25,11 @@ val with_ : ?attrs:(string * Sink.json) list -> string -> (unit -> 'a) -> 'a
 (** [with_ name f] runs [f] inside a span called [name].  The span closes
     when [f] returns or raises (the exception propagates). *)
 
-val add_attr : string -> Sink.json -> unit
-(** Attach a key/value attribute to the innermost open span; no-op when
-    collection is off or no span is open. *)
-
 val set_attr : string -> Sink.json -> unit
-(** Like {!add_attr} but replaces an existing binding of the same key, so
-    high-frequency taggers (the memo cache) stay bounded per span. *)
+(** Attach a key/value attribute to the innermost open span, replacing an
+    existing binding of the same key so high-frequency taggers (the memo
+    cache) stay bounded per span; no-op when collection is off or no span
+    is open. *)
 
 type stat = {
   path : string;  (** '/'-joined names of the span and its ancestors *)

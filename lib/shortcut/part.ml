@@ -97,23 +97,12 @@ let max_part_diameter g t =
 
 let c_partitions = Obs.Metrics.counter "part.partitions_built"
 
-(* memoized partition producers (DESIGN.md section 10); Part.t values are
-   immutable after [build], so cache sharing is safe *)
-let m_voronoi : (Memo.Fingerprint.t * int * int, t) Memo.t =
-  Memo.create ~name:"part.voronoi" ~fp:(fun (gfp, seed, count) ->
-      Memo.Fingerprint.(empty |> int64 gfp |> int seed |> int count))
-
+(* the row partition is the one partition a workload re-derives with one
+   key (DESIGN.md section 10); Part.t values are immutable after [build],
+   so cache sharing is safe *)
 let m_grid_rows : (int * int, t) Memo.t =
   Memo.create ~name:"part.grid_rows" ~fp:(fun (w, h) ->
       Memo.Fingerprint.(empty |> int w |> int h))
-
-let m_boruvka : (Memo.Fingerprint.t * Memo.Fingerprint.t * int, t) Memo.t =
-  Memo.create ~name:"part.boruvka_fragments" ~fp:(fun (gfp, wfp, level) ->
-      Memo.Fingerprint.(empty |> int64 gfp |> int64 wfp |> int level))
-
-let m_random_connected : (Memo.Fingerprint.t * int * int * float, t) Memo.t =
-  Memo.create ~name:"part.random_connected" ~fp:(fun (gfp, seed, count, coverage) ->
-      Memo.Fingerprint.(empty |> int64 gfp |> int seed |> int count |> float coverage))
 
 let partition_span ~kind ~count body =
   Obs.Span.with_
@@ -125,7 +114,6 @@ let partition_span ~kind ~count body =
       body ())
 
 let voronoi ~seed g ~count =
-  Memo.find_or_compute m_voronoi (Graph.fingerprint g, seed, count) @@ fun () ->
   partition_span ~kind:"voronoi" ~count @@ fun () ->
   let n = Graph.n g in
   let st = Random.State.make [| seed |] in
@@ -150,9 +138,6 @@ let grid_rows w h =
   build (w * h) rows
 
 let boruvka_fragments g w ~level =
-  Memo.find_or_compute m_boruvka
-    (Graph.fingerprint g, Memo.Fingerprint.(empty |> floats w), level)
-  @@ fun () ->
   partition_span ~kind:"boruvka_fragments" ~count:level @@ fun () ->
   let n = Graph.n g in
   let uf = Union_find.create n in
@@ -187,9 +172,6 @@ let boruvka_fragments g w ~level =
 let singletons g = build (Graph.n g) (List.init (Graph.n g) (fun v -> [ v ]))
 
 let random_connected ~seed g ~count ~coverage =
-  Memo.find_or_compute m_random_connected
-    (Graph.fingerprint g, seed, count, coverage)
-  @@ fun () ->
   let n = Graph.n g in
   let st = Random.State.make [| seed |] in
   let target = int_of_float (coverage *. float_of_int n) in

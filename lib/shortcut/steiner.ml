@@ -71,30 +71,14 @@ let traced ~nparts body =
       Obs.Metrics.add c_loaded_edges (Hashtbl.length s.load);
       s)
 
-(* memoized on (tree, parts) — and additionally the membership restriction
-   for [compute_restricted]; the forest is shared and never mutated after
-   construction (DESIGN.md section 10) *)
+(* memoized on (tree, parts); the forest is shared and never mutated
+   after construction (DESIGN.md section 10) *)
 let m_compute : (Spanning.tree * Part.t, t) Memo.t =
   Memo.create ~name:"steiner.compute" ~fp:(fun (tree, parts) ->
       Memo.Fingerprint.(
         empty
         |> int64 (Spanning.fingerprint tree)
         |> int64 (Part.fingerprint parts)))
-
-let m_compute_restricted :
-    (Spanning.tree * Part.t * int list array, t) Memo.t =
-  Memo.create ~name:"steiner.compute_restricted"
-    ~fp:(fun (tree, parts, members) ->
-      let h =
-        ref
-          Memo.Fingerprint.(
-            empty
-            |> int64 (Spanning.fingerprint tree)
-            |> int64 (Part.fingerprint parts)
-            |> int (Array.length members))
-      in
-      Array.iter (fun vs -> h := Memo.Fingerprint.int_list vs !h) members;
-      !h)
 
 let compute tree parts =
   Memo.find_or_compute m_compute (tree, parts) @@ fun () ->
@@ -111,7 +95,6 @@ let compute_restricted tree parts ~members =
   let nparts = Part.count parts in
   if Array.length members <> nparts then
     invalid_arg "Steiner.compute_restricted: size mismatch";
-  Memo.find_or_compute m_compute_restricted (tree, parts, members) @@ fun () ->
   traced ~nparts (fun () ->
       let n = Graph.n tree.Spanning.graph in
       let membership = Array.make n [] in

@@ -35,25 +35,8 @@ let random_clique st g size =
   done;
   Array.of_list !clique
 
-let shape_tag = function Path -> 0 | Star -> 1 | Random_tree -> 2
-
-let m_compose : (int * int * float * shape * Graph.t list, t) Memo.t =
-  Memo.create ~name:"clique_sum.compose"
-    ~fp:(fun (seed, k, drop_prob, shape, pieces) ->
-      let h =
-        Memo.Fingerprint.(
-          empty |> int seed |> int k |> float drop_prob
-          |> int (shape_tag shape)
-          |> int (List.length pieces))
-      in
-      List.fold_left
-        (fun h g -> Memo.Fingerprint.int64 (Graph.fingerprint g) h)
-        h pieces)
-
 let compose ~seed ~k ?(drop_prob = 0.0) ~shape pieces =
   if pieces = [] then invalid_arg "Clique_sum.compose: no pieces";
-  Memo.find_or_compute m_compose (seed, k, drop_prob, shape, pieces)
-  @@ fun () ->
   Obs.Span.with_
     ~attrs:
       [ ("pieces", Obs.Sink.Int (List.length pieces)); ("k", Obs.Sink.Int k) ]

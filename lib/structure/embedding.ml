@@ -8,10 +8,6 @@ let dart_tail g d =
   let u, v = Graph.edge g (d / 2) in
   if d land 1 = 0 then u else v
 
-let dart_head g d =
-  let u, v = Graph.edge g (d / 2) in
-  if d land 1 = 0 then v else u
-
 let rev d = d lxor 1
 
 let dart_of g e v =
@@ -34,14 +30,6 @@ let of_coords g coords =
             match Float.compare a b with 0 -> Int.compare da db | c -> c)
           darts;
         Array.map snd darts)
-  in
-  { graph = g; rot }
-
-let of_adjacency g =
-  let rot =
-    Array.init (Graph.n g) (fun v ->
-        let lo = Graph.adj_offset g v in
-        Array.init (Graph.degree g v) (fun i -> dart_of g (Graph.adj_eid g (lo + i)) v))
   in
   { graph = g; rot }
 

@@ -13,15 +13,11 @@ type t = {
 }
 
 val dart_tail : Graphlib.Graph.t -> int -> int
-val dart_head : Graphlib.Graph.t -> int -> int
 val rev : int -> int
 
 val of_coords : Graphlib.Graph.t -> (float * float) array -> t
 (** Rotations by angular order around each vertex: genus 0 for straight-line
     planar inputs. *)
-
-val of_adjacency : Graphlib.Graph.t -> t
-(** Arbitrary rotation (adjacency order); some valid orientable embedding. *)
 
 val torus_grid : int -> int -> t
 (** The natural genus-1 embedding of [Generators.torus_grid]. *)

@@ -29,13 +29,8 @@ let trivial ~parent =
     group_of = Array.init n (fun i -> i);
   }
 
-let m_fold : (int array, folded) Memo.t =
-  Memo.create ~name:"fold.fold" ~fp:(fun parent ->
-      Memo.Fingerprint.(empty |> ints parent))
-
 let fold ~parent =
   let n = Array.length parent in
-  Memo.find_or_compute m_fold parent @@ fun () ->
   Obs.Span.with_ ~attrs:[ ("n", Obs.Sink.Int n) ] "fold.fold" @@ fun () ->
   if n = 0 then { groups = [||]; fparent = [||]; group_of = [||] }
   else begin

@@ -6,12 +6,7 @@ type t = {
   chains : int array array;
 }
 
-let m_create : (int array * int * int, t) Memo.t =
-  Memo.create ~name:"heavy_light.create" ~fp:(fun (parent, root, n) ->
-      Memo.Fingerprint.(empty |> ints parent |> int root |> int n))
-
 let create ~parent ~root ~n =
-  Memo.find_or_compute m_create (parent, root, n) @@ fun () ->
   Obs.Span.with_ ~attrs:[ ("n", Obs.Sink.Int n) ] "heavy_light.create"
   @@ fun () ->
   (* children lists and subtree sizes *)

@@ -253,15 +253,7 @@ let planar_biconnected g =
         !planar
   end
 
-(* memoized on the graph fingerprint: the planarity verdict is the single
-   most-repeated derivation in the bench (every experiment re-tests its
-   substrate) and a bool is the cheapest possible cache entry *)
-let m_is_planar : (Graph.t, bool) Memo.t =
-  Memo.create ~name:"planarity.is_planar" ~fp:(fun g ->
-      Memo.Fingerprint.(empty |> int64 (Graph.fingerprint g)))
-
 let is_planar g =
-  Memo.find_or_compute m_is_planar g @@ fun () ->
   let n = Graph.n g and m = Graph.m g in
   Obs.Span.with_ ~attrs:[ ("n", Obs.Sink.Int n) ] "planarity.check" @@ fun () ->
   if n <= 4 then true

@@ -61,15 +61,9 @@ let check g t =
     end
   end
 
-let m_of_elim : (Graph.t * int array, t) Memo.t =
-  Memo.create ~name:"tree_decomposition.of_elimination_order"
-    ~fp:(fun (g, order) ->
-      Memo.Fingerprint.(empty |> int64 (Graph.fingerprint g) |> ints order))
-
 let of_elimination_order g order =
   let n = Graph.n g in
   if Array.length order <> n then invalid_arg "of_elimination_order: bad order";
-  Memo.find_or_compute m_of_elim (g, order) @@ fun () ->
   Obs.Span.with_ ~attrs:[ ("n", Obs.Sink.Int n) ] "tree_decomposition.build"
   @@ fun () ->
   let pos = Array.make n 0 in

@@ -116,14 +116,25 @@ let as_current e =
 
 type gate = Rise of float * float | Drop of float * float
 
-(* [time]: normalized by the calibration ratio; [int]: an integer count *)
-type metric = { field : string list; gate : gate; time : bool; int : bool }
+(* [time]: normalized by the calibration ratio, except in the rows keyed
+   in [raw]; [int]: an integer count *)
+type metric = {
+  field : string list;
+  gate : gate;
+  time : bool;
+  raw : string list;
+  int : bool;
+}
 
-let rise ?(time = false) ?(int = false) field rel eps =
-  { field = String.split_on_char '.' field; gate = Rise (rel, eps); time; int }
+let rise ?(time = false) ?(raw = []) ?(int = false) field rel eps =
+  let field = String.split_on_char '.' field in
+  { field; gate = Rise (rel, eps); time; raw; int }
 
 let drop field rel floor =
-  { field = [ field ]; gate = Drop (rel, floor); time = false; int = false }
+  { field = [ field ]; gate = Drop (rel, floor); time = false; raw = []; int = false }
+
+(* whether the gate divides metric [m] of row [key] by the calibration ratio *)
+let calibrated key m = m.time && not (List.mem key m.raw)
 
 (* where the metrics live: an object, or a list of rows keyed by [key] *)
 type place = Obj of string list | Rows of string list * (J.json -> string)
@@ -140,7 +151,7 @@ let thresholds =
     ( Rows ([ "experiments" ], row_key "id"),
       (fun k m -> k ^ "." ^ m),
       [
-        rise ~time:true "wall_ms" 0.15 250.0;
+        rise ~time:true ~raw:[ "SV1" ] "wall_ms" 0.15 250.0;
         rise ~time:true "cpu_ms" 0.15 250.0;
         rise "minor_words" 0.05 1e6;
         rise ~int:true "max_rss_kb" 0.25 51200.0;
@@ -186,15 +197,15 @@ let thresholds =
       ] );
   ]
 
-(* rewrite every gated metric of [e] with [f metric value]; the names the
-   gate reports them under, in table order *)
+(* rewrite every gated metric of [e] with [f row_key metric value]; the
+   names the gate reports them under, in table order *)
 let map_metrics f e =
   let names = ref [] in
   let apply key name ms row =
     List.fold_left
       (fun row m ->
         names := name key (String.concat "." m.field) :: !names;
-        update m.field (f m) row)
+        update m.field (f key m) row)
       row ms
   in
   let e =
@@ -252,7 +263,7 @@ let diff_against_baseline current =
 (* ---------- pinned: the gate ---------- *)
 
 let test_at_bound () =
-  let current, names = map_metrics at_bound baseline in
+  let current, names = map_metrics (fun _ -> at_bound) baseline in
   check_int "gated metrics in the fixture" expected_count (List.length names);
   let code, out = diff_against_baseline current in
   check_int ("exit 0\n" ^ out) 0 code;
@@ -260,7 +271,7 @@ let test_at_bound () =
     (contains out "262 metrics within thresholds")
 
 let test_past_bound () =
-  let current, names = map_metrics past_bound baseline in
+  let current, names = map_metrics (fun _ -> past_bound) baseline in
   let code, out = diff_against_baseline current in
   check_int ("exit 1\n" ^ out) 1 code;
   let reported = List.filter_map regression_name (lines out) in
@@ -269,16 +280,44 @@ let test_past_bound () =
     "every metric under its name" (List.sort compare names)
     (List.sort compare reported)
 
-let test_time_normalized () =
-  let double v = J.Float (2.0 *. num v) in
+(* the host at [factor] times the baseline's time per unit of work: the
+   calibration and every calibrated time scale by [factor], and [raw_row]
+   rewrites the metrics the gate reads as recorded *)
+let host_at factor ~raw_row =
+  let scale v = J.Float (factor *. num v) in
   let current, _ =
-    map_metrics (fun m v -> if m.time then double v else v) baseline
+    map_metrics
+      (fun key m v ->
+        if calibrated key m then scale v else if m.time then raw_row v else v)
+      baseline
   in
-  let current = update [ "calib_cpu_ms" ] double current in
-  let code, out = diff_against_baseline current in
+  update [ "calib_cpu_ms" ] scale current
+
+let test_time_normalized () =
+  let code, out = diff_against_baseline (host_at 2.0 ~raw_row:Fun.id) in
   check_int ("exit 0\n" ^ out) 0 code;
   check_bool ("262 metrics within thresholds\n" ^ out) true
     (contains out "262 metrics within thresholds")
+
+(* SV1's wall is set by its arrival schedule (160 queries at 400 qps), so
+   a faster host leaves it where it was: dividing it by the calibration
+   ratio of 0.65 would read 921 ms as 1417, past the 1309 ms bound *)
+let test_schedule_bound_wall_raw () =
+  let code, out = diff_against_baseline (host_at 0.65 ~raw_row:Fun.id) in
+  check_int ("exit 0\n" ^ out) 0 code;
+  check_bool ("262 metrics within thresholds\n" ^ out) true
+    (contains out "262 metrics within thresholds")
+
+(* gated raw is still gated: SV1's wall at 1.5x fails on the same host *)
+let test_schedule_bound_wall_regresses () =
+  let code, out =
+    diff_against_baseline
+      (host_at 0.65 ~raw_row:(fun v -> J.Float (1.5 *. num v)))
+  in
+  check_int ("exit 1\n" ^ out) 1 code;
+  Alcotest.(check (list string))
+    "only SV1's wall regressed" [ "SV1.wall_ms" ]
+    (List.filter_map regression_name (lines out))
 
 (* ---------- pinned: the validator ---------- *)
 
@@ -483,6 +522,10 @@ let () =
           case "doubled time and calibration pass" test_time_normalized;
           case "validator accepts the baseline" test_validator_accepts_baseline;
           case "validator: 17 rules, each line named" test_validator_rules;
+          case "fast host, SV1 wall as recorded, pass"
+            test_schedule_bound_wall_raw;
+          case "fast host, SV1 wall at 1.5x, fail"
+            test_schedule_bound_wall_regresses;
         ] );
       ( "strict",
         [

@@ -54,46 +54,12 @@ let producer_cases =
     ( "gen.torus_grid",
       triple "gen.torus_grid" graph_eq (fun () ->
           Core.Generators.torus_grid 6 5) );
-    ( "gen.random_tree",
-      triple "gen.random_tree" graph_eq (fun () ->
-          Core.Generators.random_tree ~seed:9 64) );
-    ( "gen.erdos_renyi",
-      triple "gen.erdos_renyi" graph_eq (fun () ->
-          Core.Generators.erdos_renyi ~seed:4 48 0.12) );
     ( "gen.cycle_with_apex",
       triple "gen.cycle_with_apex" graph_eq (fun () ->
           Core.Generators.cycle_with_apex 30) );
     ( "gen.lower_bound",
       triple "gen.lower_bound" pair_eq (fun () -> Core.Generators.lower_bound 3)
     );
-    ( "planarity.is_planar",
-      triple "planarity.is_planar" ( = ) (fun () ->
-          Core.Planarity.is_planar (grid_graph ())) );
-    ( "tree_decomposition.of_elimination_order",
-      triple "tree_decomposition" ( = ) (fun () ->
-          let g = Core.Generators.series_parallel ~seed:5 40 in
-          let td =
-            Core.Tree_decomposition.of_elimination_order g
-              (Array.init (G.n g) Fun.id)
-          in
-          (Core.Tree_decomposition.width td, Core.Tree_decomposition.nbags td)) );
-    ( "heavy_light.create",
-      triple "heavy_light.create" ( = ) (fun () ->
-          let g = grid_graph () in
-          let tree = Core.Spanning.bfs_tree g 0 in
-          Core.Heavy_light.create ~parent:tree.Core.Spanning.parent ~root:0
-            ~n:(G.n g)) );
-    ( "clique_sum.compose",
-      triple "clique_sum.compose" graph_eq (fun () ->
-          let pieces =
-            [ grid_graph (); Core.Generators.series_parallel ~seed:7 30 ]
-          in
-          (Core.Clique_sum.compose ~seed:11 ~k:3
-             ~shape:Core.Clique_sum.Random_tree pieces)
-            .Core.Clique_sum.graph) );
-    ( "part.voronoi",
-      triple "part.voronoi" ( = ) (fun () ->
-          Core.Part.voronoi ~seed:1 (grid_graph ()) ~count:6) );
     ( "steiner.compute",
       triple "steiner.compute" ( = ) (fun () ->
           let g = grid_graph () in
@@ -218,7 +184,6 @@ let test_fp_framing () =
   ne FP.(empty |> int 1 |> int 2) FP.(empty |> int 2 |> int 1) "order matters";
   ne FP.(empty |> bool true) FP.(empty |> bool false) "bool tag";
   ne FP.empty FP.(empty |> int 0) "empty vs zero";
-  ne FP.(empty |> float 1.0) FP.(empty |> float (-1.0)) "float sign";
   check_int "hex digest width" 16 (String.length (FP.to_hex FP.empty));
   check_int "hex digest width (nonempty)" 16
     (String.length (FP.to_hex FP.(empty |> string "grid" |> int 7)))
@@ -244,12 +209,12 @@ let test_fp_no_collisions_on_key_families () =
       add FP.(empty |> string "sp" |> int seed |> int sz)
     done
   done;
-  (* (seed, n, p) keys with a float parameter *)
+  (* (seed, k, n) k-tree keys *)
   for seed = 0 to 9 do
     for sz = 1 to 10 do
       List.iter
-        (fun p -> add FP.(empty |> int seed |> int sz |> float p))
-        [ 0.05; 0.1; 0.2; 0.5 ]
+        (fun k -> add FP.(empty |> int seed |> int k |> int sz))
+        [ 1; 2; 3; 4 ]
     done
   done;
   check_int "census" (900 + 900 + 400) !n
