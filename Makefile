@@ -51,7 +51,7 @@ bench:
 # everything the regression gate can consult — so it stays ~3 lines.
 bench-record:
 	dune build bench/main.exe tools/bench_diff.exe
-	./_build/default/bench/main.exe --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --no-breakdown \
 	  --ledger BENCH_LEDGER.jsonl \
 	  $(STAMP)
 	./_build/default/tools/bench_diff.exe --trim BENCH_LEDGER.jsonl
@@ -78,7 +78,7 @@ bench-regress-check:
 # at least four distinct construction phases
 bench-smoke:
 	dune build bench/main.exe tools/jsonl_check.exe
-	./_build/default/bench/main.exe --only E1 --no-timing --jsonl /tmp/e1.jsonl
+	./_build/default/bench/main.exe --only E1 --jsonl /tmp/e1.jsonl
 	./_build/default/tools/jsonl_check.exe /tmp/e1.jsonl
 
 # determinism gate for the domain pool: the same experiment must print
@@ -88,9 +88,9 @@ bench-smoke:
 # JSONL stream produced under worker domains must still validate
 bench-par-check:
 	dune build bench/main.exe tools/jsonl_check.exe
-	./_build/default/bench/main.exe --only E1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only E1 --no-breakdown \
 	  --jsonl /tmp/e1-par.jsonl --jobs 1 > /tmp/e1-par-j1.out
-	./_build/default/bench/main.exe --only E1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only E1 --no-breakdown \
 	  --jsonl /tmp/e1-par.jsonl --jobs 2 > /tmp/e1-par-j2.out
 	diff /tmp/e1-par-j1.out /tmp/e1-par-j2.out
 	./_build/default/tools/jsonl_check.exe /tmp/e1-par.jsonl
@@ -106,10 +106,10 @@ bench-par-check:
 # skips the producer's span and its counters.
 bench-cache-check:
 	dune build bench/main.exe
-	./_build/default/bench/main.exe --only R1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only R1 --no-breakdown \
 	  --jsonl /tmp/r1-cache.jsonl > /tmp/r1-cache-on.raw
 	cp /tmp/r1-cache.jsonl /tmp/r1-cache-on.jsonl
-	./_build/default/bench/main.exe --only R1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only R1 --no-breakdown \
 	  --no-cache --jsonl /tmp/r1-cache.jsonl > /tmp/r1-cache-off.raw
 	grep -v '^wrote [0-9]* events to ' /tmp/r1-cache-on.raw > /tmp/r1-cache-on.out
 	grep -v '^wrote [0-9]* events to ' /tmp/r1-cache-off.raw > /tmp/r1-cache-off.out
@@ -125,7 +125,7 @@ bench-cache-check:
 bench-serve:
 	dune build bench/main.exe tools/jsonl_check.exe
 	rm -f /tmp/sv1-serve.jsonl /tmp/sv1-ledger.jsonl
-	./_build/default/bench/main.exe --only SV1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only SV1 --no-breakdown \
 	  --jsonl /tmp/sv1-serve.jsonl --ledger /tmp/sv1-ledger.jsonl \
 	  $(STAMP)
 
@@ -145,7 +145,7 @@ bench-serve-check:
 bench-asynch:
 	dune build bench/main.exe tools/jsonl_check.exe
 	rm -f /tmp/as1.jsonl /tmp/as1-ledger.jsonl
-	./_build/default/bench/main.exe --only AS1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only AS1 --no-breakdown \
 	  --jsonl /tmp/as1.jsonl --ledger /tmp/as1-ledger.jsonl \
 	  $(STAMP)
 
@@ -156,11 +156,11 @@ bench-asynch:
 # with a well-formed "asynch" section
 bench-asynch-check:
 	$(MAKE) bench-asynch
-	./_build/default/bench/main.exe --only AS1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only AS1 --no-breakdown \
 	  --jobs 1 > /tmp/as1-j1.out
-	./_build/default/bench/main.exe --only AS1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only AS1 --no-breakdown \
 	  --jobs 2 > /tmp/as1-j2.out
-	./_build/default/bench/main.exe --only AS1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only AS1 --no-breakdown \
 	  --jobs 4 > /tmp/as1-j4.out
 	diff /tmp/as1-j1.out /tmp/as1-j2.out
 	diff /tmp/as1-j1.out /tmp/as1-j4.out
@@ -174,9 +174,9 @@ bench-asynch-check:
 # carry the fault_summary events the engine emits for every faulty run
 bench-fault-check:
 	dune build bench/main.exe tools/jsonl_check.exe
-	./_build/default/bench/main.exe --only R1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only R1 --no-breakdown \
 	  --jsonl /tmp/r1-fault.jsonl > /tmp/r1-fault-a.out
-	./_build/default/bench/main.exe --only R1 --no-timing --no-breakdown \
+	./_build/default/bench/main.exe --only R1 --no-breakdown \
 	  --jsonl /tmp/r1-fault.jsonl > /tmp/r1-fault-b.out
 	diff /tmp/r1-fault-a.out /tmp/r1-fault-b.out
 	./_build/default/tools/jsonl_check.exe \
@@ -194,7 +194,7 @@ bench-scale-check:
 	dune build bench/main.exe tools/jsonl_check.exe
 	rm -f /tmp/s1-ledger.jsonl
 	sh -c 'ulimit -v 8388608; exec timeout 600 ./_build/default/bench/main.exe \
-	  --only S1 --no-timing --no-breakdown --jsonl /tmp/s1-scale.jsonl \
+	  --only S1 --no-breakdown --jsonl /tmp/s1-scale.jsonl \
 	  --ledger /tmp/s1-ledger.jsonl \
 	  $(STAMP)' \
 	  > /tmp/s1-scale.out

@@ -2,8 +2,7 @@
    (see DESIGN.md section 4 and EXPERIMENTS.md for the recorded outcomes).
 
    Usage: dune exec bench/main.exe -- [FLAG]...  With no flag it runs every
-   experiment and then the bechamel timing suite; [cli_flags] below lists
-   the flags, and --help prints them.
+   experiment; [cli_flags] below lists the flags, and --help prints them.
 
    BENCH_SYNTH_SLOWDOWN=0.25 in the environment stretches every
    experiment by +25% of its measured wall time with a busy spin that
@@ -1017,63 +1016,6 @@ let f7 () =
     (Core.Embedding.genus (Core.Embedding.torus_grid 6 6))
 
 (* ------------------------------------------------------------------ *)
-(* bechamel timing suite: construction costs                           *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  section "timing (bechamel): construction costs";
-  let open Bechamel in
-  let grid = (Gen.grid 32 32).Gen.graph in
-  let tree = Sp.bfs_tree grid 0 in
-  let parts = P.voronoi ~seed:1 grid ~count:20 in
-  let cs =
-    Core.Clique_sum.compose ~seed:1 ~k:3 ~shape:Core.Clique_sum.Path
-      (List.init 10 (fun i -> (Gen.apollonian ~seed:i 40).Gen.graph))
-  in
-  let cs_tree = Sp.bfs_tree cs.Core.Clique_sum.graph 0 in
-  let cs_parts = P.voronoi ~seed:2 cs.Core.Clique_sum.graph ~count:10 in
-  let ap200 = (Gen.apollonian ~seed:6 200).Gen.graph in
-  let tests =
-    [
-      Test.make ~name:"E1 generic shortcut (grid 32x32)"
-        (Staged.stage (fun () -> ignore (Core.Generic.construct tree parts)));
-      Test.make ~name:"E1 steiner forest (grid 32x32)"
-        (Staged.stage (fun () -> ignore (Core.Steiner.compute tree parts)));
-      Test.make ~name:"E3 clique-sum shortcut (10 bags)"
-        (Staged.stage (fun () -> ignore (Core.Cs_shortcut.construct cs cs_tree cs_parts)));
-      Test.make ~name:"E6 bfs tree (grid 32x32)"
-        (Staged.stage (fun () -> ignore (Sp.bfs_tree grid 0)));
-      Test.make ~name:"substrate planarity (apollonian 200)"
-        (Staged.stage (fun () -> ignore (Core.Planarity.is_planar ap200)));
-      Test.make ~name:"E7 stoer-wagner (apollonian 200)"
-        (Staged.stage (fun () ->
-             ignore (Core.Mincut.stoer_wagner ap200 (G.unit_weights ap200))));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |] in
-  Printf.printf "%-42s %14s\n" "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-              let pretty =
-                if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-                else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-                else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-                else Printf.sprintf "%.0f ns" est
-              in
-              Printf.printf "%-42s %14s\n" name pretty
-          | _ -> Printf.printf "%-42s %14s\n" name "n/a")
-        analysis)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* R1: robustness — deterministic fault injection, drop-rate sweep     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1836,7 +1778,6 @@ let cli_flags =
   [
     ("--only", Some "ID", "run one experiment (ids: --list)");
     ("--list", None, "list the experiments and exit");
-    ("--no-timing", None, "skip the bechamel timing suite");
     ( "--jsonl",
       Some "FILE",
       "stream spans, metrics, rows and trace summaries as JSONL events" );
@@ -1860,8 +1801,7 @@ let usage oc =
       let lhs = match arg with Some a -> name ^ " " ^ a | None -> name in
       Printf.fprintf oc "  %-15s %s\n" lhs doc)
     (cli_flags @ [ ("--help", None, "print this message and exit") ]);
-  output_string oc
-    "With no flag, runs every experiment, then the bechamel timing suite.\n"
+  output_string oc "With no flag, runs every experiment.\n"
 
 (* [(flag, value)] in command-line order, [""] for a switch.  An unknown
    argument, or a value flag followed by nothing or by another flag, is a
@@ -1942,7 +1882,7 @@ let () =
           experiments);
     pool := None;
     (* the comparable window for ledger entries: experiments only, before
-       the probes and the bechamel timing suite add their own wall time *)
+       the probes add their own wall time *)
     let experiments_ms =
       Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) record_t0)
     in
@@ -1955,14 +1895,6 @@ let () =
       end
       else []
     in
-    (* bechamel must measure real construction work, not cache lookups —
-       and not pay major-GC marking for cached artifacts the timing suite
-       will never read, so drop them first (the per-experiment cache
-       stats above are already captured) *)
-    if (not (has "--no-timing")) && only = None then begin
-      Memo.clear ();
-      Memo.with_disabled timing
-    end;
     (match !ledger_file with
     | Some path ->
         let date =

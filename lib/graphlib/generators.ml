@@ -17,40 +17,32 @@ module FP = Memo.Fingerprint
 
 let m_grid : (int * int, planar) Memo.t =
   Memo.create ~name:"gen.grid" ~fp:(fun (w, h) -> FP.(empty |> int w |> int h))
-  |> Memo.with_bytes_hint (fun p -> Graph.heap_bytes p.graph)
 
 let m_apollonian : (int * int, planar) Memo.t =
   Memo.create ~name:"gen.apollonian" ~fp:(fun (seed, n) ->
       FP.(empty |> int seed |> int n))
-  |> Memo.with_bytes_hint (fun p -> Graph.heap_bytes p.graph)
 
 let m_series_parallel : (int * int, Graph.t) Memo.t =
   Memo.create ~name:"gen.series_parallel" ~fp:(fun (seed, n) ->
       FP.(empty |> int seed |> int n))
-  |> Memo.with_bytes_hint Graph.heap_bytes
 
 let m_k_tree : (int * int * int, Graph.t * int array) Memo.t =
   Memo.create ~name:"gen.k_tree" ~fp:(fun (seed, k, n) ->
       FP.(empty |> int seed |> int k |> int n))
-  |> Memo.with_bytes_hint (fun (g, _) -> Graph.heap_bytes g)
 
 let m_torus_grid : (int * int, Graph.t) Memo.t =
   Memo.create ~name:"gen.torus_grid" ~fp:(fun (w, h) ->
       FP.(empty |> int w |> int h))
-  |> Memo.with_bytes_hint Graph.heap_bytes
 
 let m_cycle_with_apex : (int, Graph.t) Memo.t =
   Memo.create ~name:"gen.cycle_with_apex" ~fp:(fun n -> FP.(empty |> int n))
-  |> Memo.with_bytes_hint Graph.heap_bytes
 
 let m_lower_bound : (int, Graph.t * int array) Memo.t =
   Memo.create ~name:"gen.lower_bound" ~fp:(fun p -> FP.(empty |> int p))
-  |> Memo.with_bytes_hint (fun (g, _) -> Graph.heap_bytes g)
 
 let m_add_apices : (int * Memo.Fingerprint.t * int * int, Graph.t) Memo.t =
   Memo.create ~name:"gen.add_apices" ~fp:(fun (seed, gfp, q, fanout) ->
       FP.(empty |> int seed |> int64 gfp |> int q |> int fanout))
-  |> Memo.with_bytes_hint Graph.heap_bytes
 
 let path n = Graph.of_edges n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
 

@@ -16,9 +16,7 @@
    inbox order, without a second copy of the pairs.
 
    The payload lives outside the OCaml heap: the GC never scans or moves
-   it, [Exec.Pool] domains share it zero-copy, and [Obj.reachable_words]
-   does not see it — which is why [heap_bytes] exists for the Memo
-   cache's byte accounting. *)
+   it, and [Exec.Pool] domains share it zero-copy. *)
 
 module Ba = Bigarray.Array1
 
@@ -140,11 +138,6 @@ let fold_edges g ~init ~f =
   let acc = ref init in
   iter_edges g (fun e u v -> acc := f !acc e u v);
   !acc
-
-let heap_bytes g =
-  8
-  * (Ba.dim g.esrc + Ba.dim g.edst + Ba.dim g.seg + Ba.dim g.dst
-   + Ba.dim g.eid + Ba.dim g.srt)
 
 let fingerprint g =
   if g.fp <> 0L then g.fp

@@ -104,11 +104,6 @@ val fingerprint : t -> Memo.Fingerprint.t
     computed once and cached on the graph.  The cache key ingredient for
     every graph-derived memoized artifact. *)
 
-val heap_bytes : t -> int
-(** Total bytes of the off-heap Bigarray payload.  [Obj.reachable_words]
-    does not see it, so memoized graph producers pass this to
-    [Memo.with_bytes_hint] so the cache's byte bound stays honest. *)
-
 (** {1 Construction} *)
 
 (** Incremental construction for large graphs: push raw endpoint pairs

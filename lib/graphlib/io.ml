@@ -70,7 +70,8 @@ let of_string s =
           | None -> ()
           | Some w -> (
               match float_of_string_opt w with
-              | Some x -> weights := x :: !weights
+              | Some x when Float.is_finite x -> weights := x :: !weights
+              | Some _ -> err ln (Printf.sprintf "not a finite weight: %S" w)
               | None -> err ln (Printf.sprintf "not a weight: %S" w)))
         rest;
       let edges = List.rev !edges in

@@ -10,14 +10,8 @@ type tree = {
 (* BFS trees are pure functions of (graph, root): memoized, and shared —
    no consumer mutates a tree's arrays (DESIGN.md section 10) *)
 let m_bfs : (Graph.t * int, tree) Memo.t =
-  (* the hint counts the host graph's off-heap payload even though it is
-     usually shared with a generator's cache entry: overcounting only
-     evicts earlier, while omitting it would let a tree over a
-     non-memoized graph (e.g. one read from a file) retain an unbounded
-     Bigarray payload past the budget *)
   Memo.create ~name:"spanning.bfs_tree" ~fp:(fun (g, root) ->
       Memo.Fingerprint.(empty |> int64 (Graph.fingerprint g) |> int root))
-  |> Memo.with_bytes_hint (fun t -> Graph.heap_bytes t.graph)
 
 let bfs_tree g root =
   Memo.find_or_compute m_bfs (g, root) @@ fun () ->

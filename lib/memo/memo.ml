@@ -1,21 +1,16 @@
 (* Keyed, bounded, domain-safe artifact cache (DESIGN.md section 10).
 
-   One process-global store holds every cached artifact behind a single
-   mutex: a hash table from string keys ("space:fingerprint") to entries
-   threaded on an intrusive LRU list, with a byte budget estimated by
-   [Obj.reachable_words] at insert time.  Producers register a typed
-   [space] (a unique name plus a fingerprint function for their key type)
-   and wrap their construction in [find_or_compute].
+   Each producer registers a typed space: a unique name, a fingerprint
+   function for its key type, and its own hash table from fingerprints to
+   values, so a lookup needs no cast and builds no string.  One mutex
+   guards every table and counter.  It is held only for a lookup or an
+   insert — never while a producer runs — so two domains racing on the
+   same key may both compute; every cached producer is deterministic, so
+   either result is correct and the second insert is dropped in favour of
+   the first.
 
-   The lock is held only for table lookups and list splices — never while
-   a producer runs — so two domains racing on the same key may both
-   compute; every cached producer is deterministic, so either result is
-   correct and the second insert is dropped in favour of the first.
-
-   Typed retrieval uses [Obj]: a space's values are stored as [Obj.t] and
-   recovered with [Obj.obj].  This is sound because [create] enforces
-   globally unique space names, so one space maps to exactly one value
-   type for the lifetime of the process. *)
+   The store is bounded by an entry count: an insert that finds
+   [max_entries] values cached first empties every space. *)
 
 (* Structural fingerprints for cache keys: FNV-1a over a 64-bit state.
    The fingerprint is a pure function of the bytes fed in, so two values
@@ -60,33 +55,15 @@ module Fingerprint = struct
     let h = ref (int (List.length l) h) in
     List.iter (fun x -> h := int x !h) l;
     !h
-
-  let to_hex = Printf.sprintf "%016Lx"
 end
 
-type stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;
-  bytes : int;
-  capacity_bytes : int;
-}
+module Table = Hashtbl.Make (Int64)
 
-type entry = {
-  key : string;
-  value : Obj.t;
-  bytes : int;
-  mutable prev : entry option; (* toward MRU *)
-  mutable next : entry option; (* toward LRU *)
-}
+type stats = { hits : int; misses : int; evictions : int; entries : int }
 
+let max_entries = 4096
 let mutex = Mutex.create ()
-let table : (string, entry) Hashtbl.t = Hashtbl.create 512
-let mru : entry option ref = ref None
-let lru : entry option ref = ref None
-let total_bytes = ref 0
-let capacity = ref (256 * 1024 * 1024)
+let entries = ref 0
 let hits = ref 0
 let misses = ref 0
 let evictions = ref 0
@@ -96,145 +73,72 @@ let c_hits = Obs.Metrics.counter "memo.hits"
 let c_misses = Obs.Metrics.counter "memo.misses"
 let c_evictions = Obs.Metrics.counter "memo.evictions"
 
-(* -- enablement: a global switch (--no-cache) plus a per-domain disable
-   depth (with_disabled), so a timing harness can opt out locally without
-   affecting concurrent domains -- *)
-
+(* the global switch that --no-cache turns off *)
 let enabled_flag = Atomic.make true
-let disable_depth = Domain.DLS.new_key (fun () -> 0)
 let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag && Domain.DLS.get disable_depth = 0
+let enabled () = Atomic.get enabled_flag
 
-let with_disabled f =
-  let d = Domain.DLS.get disable_depth in
-  Domain.DLS.set disable_depth (d + 1);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set disable_depth d) f
+type ('k, 'v) t = { name : string; fp : 'k -> Fingerprint.t; table : 'v Table.t }
 
-(* -- LRU list splicing; all under [mutex] -- *)
-
-let unlink e =
-  (match e.prev with Some p -> p.next <- e.next | None -> mru := e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> lru := e.prev);
-  e.prev <- None;
-  e.next <- None
-
-let push_front e =
-  e.prev <- None;
-  e.next <- !mru;
-  (match !mru with Some h -> h.prev <- Some e | None -> lru := Some e);
-  mru := Some e
-
-let touch e =
-  match !mru with
-  | Some h when h == e -> ()
-  | _ ->
-      unlink e;
-      push_front e
-
-let evict_over_budget () =
-  while !total_bytes > !capacity && !lru <> None do
-    match !lru with
-    | None -> ()
-    | Some e ->
-        unlink e;
-        Hashtbl.remove table e.key;
-        total_bytes := !total_bytes - e.bytes;
-        incr evictions;
-        Obs.Metrics.incr c_evictions
-  done
-
-(* -- typed spaces -- *)
-
-type ('k, 'v) t = {
-  space : string;
-  fp : 'k -> Fingerprint.t;
-  (* extra bytes per value that [Obj.reachable_words] cannot see — Bigarray
-     payloads live outside the OCaml heap, so without this hint CSR graphs
-     would enter the cache at a few hundred estimated bytes and bypass the
-     byte budget entirely *)
-  bytes_hint : ('v -> int) option;
-}
-
-let spaces : (string, unit) Hashtbl.t = Hashtbl.create 64
+(* every space's name and the reset of its table, for [clear] *)
+let spaces : (string * (unit -> unit)) list ref = ref []
 
 let create ~name ~fp =
+  let table = Table.create 16 in
   Mutex.lock mutex;
-  let dup = Hashtbl.mem spaces name in
-  if not dup then Hashtbl.add spaces name ();
+  let dup = List.mem_assoc name !spaces in
+  if not dup then spaces := (name, fun () -> Table.reset table) :: !spaces;
   Mutex.unlock mutex;
   if dup then invalid_arg (Printf.sprintf "Memo.create: duplicate space %S" name);
-  { space = name; fp; bytes_hint = None }
+  { name; fp; table }
 
-let with_bytes_hint hint c = { c with bytes_hint = Some hint }
+(* under [mutex] *)
+let reset_all () =
+  List.iter (fun (_, reset) -> reset ()) !spaces;
+  entries := 0
 
-let key_of c k = c.space ^ ":" ^ Fingerprint.to_hex (c.fp k)
+(* under [mutex]: add a new key, first emptying every space if the store
+   is full; returns how many entries that dropped *)
+let insert table key v =
+  let dropped = if !entries >= max_entries then !entries else 0 in
+  if dropped > 0 then begin
+    evictions := !evictions + dropped;
+    reset_all ()
+  end;
+  Table.add table key v;
+  incr entries;
+  dropped
 
-let find_or_compute (type v) (c : (_, v) t) k (produce : unit -> v) : v =
+let find_or_compute c k produce =
   if not (enabled ()) then produce ()
   else begin
-    let key = key_of c k in
+    let key = c.fp k in
     Mutex.lock mutex;
-    match Hashtbl.find_opt table key with
-    | Some e ->
-        touch e;
+    match Table.find_opt c.table key with
+    | Some v ->
         incr hits;
         Mutex.unlock mutex;
         Obs.Metrics.incr c_hits;
-        Obs.Span.set_attr "memo.hit" (Obs.Sink.String c.space);
-        (Obj.obj e.value : v)
+        Obs.Span.set_attr "memo.hit" (Obs.Sink.String c.name);
+        v
     | None ->
         incr misses;
         Mutex.unlock mutex;
         Obs.Metrics.incr c_misses;
-        Obs.Span.set_attr "memo.miss" (Obs.Sink.String c.space);
+        Obs.Span.set_attr "memo.miss" (Obs.Sink.String c.name);
         let v = produce () in
-        let bytes =
-          (Obj.reachable_words (Obj.repr v) * 8)
-          + (match c.bytes_hint with Some f -> f v | None -> 0)
-        in
         Mutex.lock mutex;
-        (if (not (Hashtbl.mem table key)) && bytes <= !capacity then begin
-           let e = { key; value = Obj.repr v; bytes; prev = None; next = None } in
-           Hashtbl.add table key e;
-           push_front e;
-           total_bytes := !total_bytes + bytes;
-           evict_over_budget ()
-         end);
+        let dropped = if Table.mem c.table key then 0 else insert c.table key v in
         Mutex.unlock mutex;
+        if dropped > 0 then Obs.Metrics.add c_evictions dropped;
         v
   end
 
-(* -- maintenance / introspection -- *)
-
-let clear () =
-  Mutex.lock mutex;
-  Hashtbl.reset table;
-  mru := None;
-  lru := None;
-  total_bytes := 0;
-  Mutex.unlock mutex
-
-let set_capacity_bytes n =
-  if n < 0 then invalid_arg "Memo.set_capacity_bytes";
-  Mutex.lock mutex;
-  capacity := n;
-  evict_over_budget ();
-  Mutex.unlock mutex
+let clear () = Mutex.protect mutex reset_all
 
 let stats () =
-  Mutex.lock mutex;
-  let s =
-    {
-      hits = !hits;
-      misses = !misses;
-      evictions = !evictions;
-      entries = Hashtbl.length table;
-      bytes = !total_bytes;
-      capacity_bytes = !capacity;
-    }
-  in
-  Mutex.unlock mutex;
-  s
+  Mutex.protect mutex @@ fun () ->
+  { hits = !hits; misses = !misses; evictions = !evictions; entries = !entries }
 
 let stats_json () =
   let s = stats () in
@@ -244,10 +148,4 @@ let stats_json () =
       ("misses", Obs.Sink.Int s.misses);
       ("evictions", Obs.Sink.Int s.evictions);
       ("entries", Obs.Sink.Int s.entries);
-      ("bytes", Obs.Sink.Int s.bytes);
-      ("capacity_bytes", Obs.Sink.Int s.capacity_bytes);
     ]
-
-let hit_rate s =
-  let looked = s.hits + s.misses in
-  if looked = 0 then 0.0 else float_of_int s.hits /. float_of_int looked

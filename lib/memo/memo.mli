@@ -15,13 +15,13 @@
     Keys are structural {!Fingerprint}s — [family/params/seed] for
     generated graphs, input fingerprints plus the construction name for
     derived artifacts — so equal descriptions fetch instead of recompute.
+    Each space keeps its own table from fingerprints to values.
 
-    The store is process-global and bounded: a byte budget (default
-    256 MiB, estimated with [Obj.reachable_words] at insert) is enforced
-    by LRU eviction.  All bookkeeping runs under one mutex held only for
-    table/list updates, never during a producer; racing domains may both
-    compute a key, and the loser's insert is dropped — sound because every
-    cached producer is deterministic.
+    The store is process-global and bounded by {!max_entries} values
+    across all spaces.  One mutex guards the tables and counters, held
+    for a lookup or an insert and never during a producer; racing domains
+    may both compute a key, and the second insert is dropped — sound
+    because every cached producer is deterministic.
 
     Contract for producers: cached values are shared between callers, so
     a memoized producer must return a value that no caller mutates.
@@ -51,29 +51,14 @@ module Fingerprint : sig
   val string : string -> t -> t
   val ints : int array -> t -> t
   val int_list : int list -> t -> t
-
-  val to_hex : t -> string
-  (** 16 lowercase hex digits. *)
 end
 
 type ('k, 'v) t
 (** A typed cache space: one producer, one key type, one value type. *)
 
 val create : name:string -> fp:('k -> Fingerprint.t) -> ('k, 'v) t
-(** Register a space.  [name] must be globally unique (it namespaces the
-    fingerprints and types the stored values); reusing a name raises
-    [Invalid_argument]. *)
-
-val with_bytes_hint : ('v -> int) -> ('k, 'v) t -> ('k, 'v) t
-(** [space |> with_bytes_hint f] makes inserts account [f v] extra bytes
-    per value on top of the [Obj.reachable_words] estimate — for bytes
-    that live outside the OCaml heap and are invisible to the GC walk:
-    Bigarray payloads, i.e. [Graph.heap_bytes] for spaces caching CSR
-    graphs.  Without the hint such values enter the cache at a few
-    hundred estimated bytes and bypass the byte budget entirely.
-    Overcounting payload shared with another entry is sound (it only
-    evicts earlier); undercounting would let the cache exceed its
-    bound. *)
+(** Register a space.  [name] must be globally unique (it labels the
+    space's span attributes); reusing a name raises [Invalid_argument]. *)
 
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** [find_or_compute space k produce] returns the cached value for [k] or
@@ -87,14 +72,13 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val with_disabled : (unit -> 'a) -> 'a
-(** Run [f] with caching off for the calling domain only — used by the
-    bechamel timing suite so measured constructions really construct. *)
+(** {1 Bound and maintenance} *)
 
-(** {1 Budget and maintenance} *)
-
-val set_capacity_bytes : int -> unit
-(** Change the byte budget and evict down to it immediately. *)
+val max_entries : int
+(** 4096: the most values the store holds across all spaces.  An insert
+    that finds this many cached first empties every space, and counts the
+    dropped values as evictions.  DESIGN.md section 10 has the measured
+    peaks this is set against. *)
 
 val clear : unit -> unit
 (** Drop every cached value (counters keep accumulating). *)
@@ -104,13 +88,9 @@ val clear : unit -> unit
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
-  entries : int;
-  bytes : int;
-  capacity_bytes : int;
+  evictions : int;  (** values dropped by the {!max_entries} cap *)
+  entries : int;  (** values cached now, across all spaces *)
 }
 
 val stats : unit -> stats
 val stats_json : unit -> Obs.Sink.json
-val hit_rate : stats -> float
-(** Hits over lookups, 0.0 before the first lookup. *)

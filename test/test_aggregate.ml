@@ -206,6 +206,39 @@ let prop_mst_clean =
         (families seed);
       true)
 
+(* A hub whose link table resizes at least four times.  The table starts
+   at 16 buckets and doubles once it holds more than twice its bucket
+   count, so a hub with more than 256 links crosses 32, 64, 128 and 256
+   buckets; each incident edge that carries a grant is one link.  The
+   families above have a 70-node wheel, which resizes at most twice. *)
+let test_hub_resizes () =
+  let g = Generators.cycle_with_apex 600 in
+  let hub = Graph.n g - 1 in
+  let parts = Part.voronoi ~seed:1 g ~count:(Graph.n g / 5) in
+  let sc = Shortcuts.Generic.construct (tree_of g) parts in
+  let granted = Array.make (Graph.m g) false in
+  Array.iter (Array.iter (fun e -> granted.(e) <- true)) sc.Sc.assigned;
+  let hub_grants = ref 0 in
+  Graph.iter_adj g hub (fun _ e -> if granted.(e) then incr hub_grants);
+  if !hub_grants <= 256 then
+    Alcotest.failf "only %d of the hub's edges carry a grant" !hub_grants;
+  let values = values 1 g parts in
+  let check = Alcotest.(check bool) in
+  (* a clean run cannot see the hub's send order (inboxes are sorted by
+     sender), so the order is also replayed through drop rolls *)
+  List.iter
+    (fun (label, faults) ->
+      let ta = T.create g and tb = T.create g in
+      let a = A.minimum ?faults:(faults ()) ~trace:ta sc ~values in
+      let b = Reference.minimum ?faults:(faults ()) ~trace:tb sc ~values in
+      check (label ^ " mins") true (a.A.mins = b.Reference.mins);
+      check (label ^ " stats") true (a.A.stats = b.Reference.stats);
+      check (label ^ " trace") true (same_summary ta tb))
+    [
+      ("clean", fun () -> None);
+      ("20% drops", fun () -> Some (Faults.make ~drop:0.2 7));
+    ]
+
 (* ---------- Part.check ---------- *)
 
 (* valid partitions of [g] and corruptions of each: two parts merged
@@ -298,7 +331,11 @@ let () =
     [
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_clean; prop_synchronizer; prop_mst_drops; prop_mst_clean ] );
+          [ prop_clean; prop_synchronizer; prop_mst_drops; prop_mst_clean ]
+        @ [
+            Alcotest.test_case "hub link table past four resizes" `Quick
+              test_hub_resizes;
+          ] );
       ( "part-check",
         [
           QCheck_alcotest.to_alcotest prop_part_check;

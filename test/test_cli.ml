@@ -74,7 +74,10 @@ let test_bad_files () =
   with_file "0 1\n1 x\n" (fun bad ->
       rejected [ "info"; "--edge-list"; bad ] ~names:(bad ^ ":2: not a vertex id"));
   with_file "4 2\n0 1\n2 3\n" (fun bad ->
-      rejected [ "mst"; bad ] ~names:(bad ^ ": input graph is not connected"))
+      rejected [ "mst"; bad ] ~names:(bad ^ ": input graph is not connected"));
+  with_file "4 3\n0 1 nan\n1 2 1.0\n2 3 2.0\n" (fun bad ->
+      rejected [ "mst"; bad ] ~names:(bad ^ ":2: not a finite weight");
+      rejected [ "mincut"; bad ] ~names:(bad ^ ":2: not a finite weight"))
 
 let () =
   Alcotest.run "cli"

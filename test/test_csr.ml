@@ -1,8 +1,7 @@
 (* CSR substrate tests: the flat adjacency layout must agree, order
    included, with a reference adjacency structure rebuilt from the edge
-   array — across every generator family — plus the raw edge-list reader,
-   RMAT determinism, and the memo byte-hint plumbing the Bigarray payload
-   relies on. *)
+   array — across every generator family — plus the raw edge-list reader
+   and RMAT determinism. *)
 
 open Graphlib
 
@@ -344,44 +343,6 @@ let prop_edge_list_roundtrip =
       let g' = Io.of_edge_list ~n (Buffer.contents buf) in
       Graph.edges g = Graph.edges g')
 
-(* ---------- memo byte hints ---------- *)
-
-(* Bigarray payloads are invisible to Obj.reachable_words, so the memo
-   counts them through the space's bytes_hint; without it a graph cache
-   would blow past its budget unnoticed. *)
-let test_memo_bytes_hint () =
-  let saved = (Memo.stats ()).Memo.capacity_bytes in
-  Fun.protect
-    ~finally:(fun () -> Memo.set_capacity_bytes saved)
-    (fun () ->
-      Memo.clear ();
-      let computes = ref 0 in
-      let space =
-        Memo.create ~name:"test.csr.hint" ~fp:(fun k ->
-            Memo.Fingerprint.(empty |> int k))
-        |> Memo.with_bytes_hint (fun _ -> 1_000_000)
-      in
-      let get k =
-        Memo.find_or_compute space k (fun () ->
-            incr computes;
-            k * 2)
-      in
-      let before = (Memo.stats ()).Memo.bytes in
-      check_int "computed" 2 (get 1);
-      check "hint lands in the byte accounting" true
-        ((Memo.stats ()).Memo.bytes - before >= 1_000_000);
-      check_int "cached while under budget" 2 (get 1);
-      check_int "one compute so far" 1 !computes;
-      (* shrink the budget under two hinted entries: inserting more keys
-         must evict the oldest, forcing a recompute on its next lookup *)
-      Memo.set_capacity_bytes 2_500_000;
-      for k = 2 to 6 do
-        ignore (get k)
-      done;
-      let before_recompute = !computes in
-      ignore (get 1);
-      check "evicted entry recomputes" true (!computes > before_recompute))
-
 let test_rusage_parse () =
   check "VmHWM tab-separated" true
     (Obs.Rusage.parse_vmhwm "VmHWM:\t  123456 kB" = Some 123456);
@@ -420,7 +381,6 @@ let () =
         @ qsuite [ prop_edge_list_roundtrip ] );
       ( "accounting",
         [
-          Alcotest.test_case "memo bytes hint" `Quick test_memo_bytes_hint;
           Alcotest.test_case "rusage parse" `Quick test_rusage_parse;
         ] );
     ]

@@ -420,6 +420,12 @@ let test_io_comments_and_errors () =
   raises "vertex out of range" "line 4: vertex 3 out of range (n = 3)"
     "3 2\n0 1\n\n1 3\n";
   raises "bad weight" "line 2: not a weight: \"heavy\"" "2 1\n0 1 heavy\n";
+  List.iter
+    (fun w ->
+      raises ("weight " ^ w)
+        (Printf.sprintf "line 3: not a finite weight: %S" w)
+        (Printf.sprintf "3 2\n0 1 1.0\n1 2 %s\n" w))
+    [ "nan"; "inf"; "-inf"; "1e400" ];
   raises "bad edge line" "line 2: bad edge line (expected \"u v\" or \"u v w\")"
     "3 1\n0 1 2 3\n";
   raises "edge count" "line 1: header says m = 3 but 2 edge lines follow"

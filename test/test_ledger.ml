@@ -451,7 +451,7 @@ let test_unknown_baseline_rev () =
 let test_bench_unknown_only () =
   let ledger = Filename.temp_file "ledger" ".jsonl" in
   Sys.remove ledger;
-  let code, out = run bench [ "--only"; "e1"; "--no-timing"; "--ledger"; ledger ] in
+  let code, out = run bench [ "--only"; "e1"; "--ledger"; ledger ] in
   check_int ("exit 2\n" ^ out) 2 code;
   check_bool ("valid ids listed\n" ^ out) true
     (contains out "E1" && contains out "AS1");
@@ -471,12 +471,12 @@ let test_bench_flags () =
         (contains out "usage:" && contains out "--no-cache"
         && contains out "--date DATE");
       check_bool (what ^ ": nothing ran\n" ^ out) false (ran out))
-    [ [ "--help" ]; [ "--only"; "E1"; "--no-timing"; "--help" ] ];
+    [ [ "--help" ]; [ "--only"; "E1"; "--help" ] ];
   List.iter
     (fun (args, names) ->
       let ledger = Filename.temp_file "ledger" ".jsonl" in
       Sys.remove ledger;
-      let args = [ "--no-timing"; "--ledger"; ledger ] @ args in
+      let args = [ "--ledger"; ledger ] @ args in
       let code, out = run bench args in
       let what = String.concat " " args in
       check_int (what ^ ": exit 2\n" ^ out) 2 code;

@@ -1,21 +1,24 @@
 (* Tests for the construction memo cache (lib/memo): every memoized
    producer must return the same value with the cache off, cold and warm
-   (the determinism contract behind --no-cache byte-identity); LRU
-   eviction must respect a small byte budget; lookups must be safe under
-   the Exec domain pool; and the structural fingerprints the producers
-   key on must not collide on realistic key families. *)
+   (the determinism contract behind --no-cache byte-identity); the store
+   must empty itself at its entry cap; lookups must be safe under the
+   Exec domain pool; and the structural fingerprints the producers key on
+   must not collide on realistic key families. *)
 
 module FP = Memo.Fingerprint
 module G = Core.Graph
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let default_capacity = 256 * 1024 * 1024
 
 let reset_cache () =
   Memo.clear ();
-  Memo.set_capacity_bytes default_capacity;
   Memo.set_enabled true
+
+let with_cache_off f =
+  let was = Memo.enabled () in
+  Memo.set_enabled false;
+  Fun.protect ~finally:(fun () -> Memo.set_enabled was) f
 
 let same_graph a b = G.n a = G.n b && G.m a = G.m b && G.edges a = G.edges b
 
@@ -26,7 +29,7 @@ let same_graph a b = G.n a = G.n b && G.m a = G.m b && G.edges a = G.edges b
    scored at least one cache hit. *)
 let triple name eq produce () =
   reset_cache ();
-  let off = Memo.with_disabled produce in
+  let off = with_cache_off produce in
   let cold = produce () in
   let s0 = Memo.stats () in
   let warm = produce () in
@@ -36,6 +39,9 @@ let triple name eq produce () =
   check (name ^ ": warm call hit the cache") true (s1.Memo.hits > s0.Memo.hits)
 
 let grid_graph () = (Core.Generators.grid 9 7).Core.Generators.graph
+
+(* an unmemoized host, so the warm call's hits are the space's own *)
+let host () = Core.Generators.random_tree ~seed:9 64
 
 let producer_cases =
   let graph_eq = same_graph in
@@ -60,6 +66,20 @@ let producer_cases =
     ( "gen.lower_bound",
       triple "gen.lower_bound" pair_eq (fun () -> Core.Generators.lower_bound 3)
     );
+    ( "gen.add_apices",
+      triple "gen.add_apices" graph_eq (fun () ->
+          Core.Generators.add_apices ~seed:4 (host ()) ~q:2 ~fanout:5) );
+    ( "spanning.bfs_tree",
+      triple "spanning.bfs_tree"
+        (fun a b ->
+          same_graph a.Core.Spanning.graph b.Core.Spanning.graph
+          && a.Core.Spanning.parent = b.Core.Spanning.parent
+          && a.Core.Spanning.parent_edge = b.Core.Spanning.parent_edge
+          && a.Core.Spanning.depth = b.Core.Spanning.depth
+          && a.Core.Spanning.order = b.Core.Spanning.order)
+        (fun () -> Core.Spanning.bfs_tree (host ()) 5) );
+    ( "part.grid_rows",
+      triple "part.grid_rows" ( = ) (fun () -> Core.Part.grid_rows 9 7) );
     ( "steiner.compute",
       triple "steiner.compute" ( = ) (fun () ->
           let g = grid_graph () in
@@ -78,57 +98,45 @@ let producer_cases =
             Core.Shortcut.total_assigned sc )) );
   ]
 
-(* ---------- LRU eviction under a small byte budget ---------- *)
+(* ---------- the entry cap ---------- *)
 
 let m_blob = Memo.create ~name:"test.blob" ~fp:(fun i -> FP.(empty |> int i))
-let blob i = Memo.find_or_compute m_blob i (fun () -> Array.make 10_000 i)
+let computed = ref 0
 
-let test_lru_eviction () =
+let blob i =
+  Memo.find_or_compute m_blob i (fun () ->
+      incr computed;
+      Array.make 4 i)
+
+(* [max_entries] distinct keys fit; the next insert empties the store
+   first, so only that key survives and the first key must recompute *)
+let test_entry_cap () =
   reset_cache ();
-  (* each value is ~80 KB; a 256 KB budget fits three of them *)
-  Memo.set_capacity_bytes (256 * 1024);
-  for i = 0 to 9 do
-    check_int (Printf.sprintf "blob %d content" i) i (blob i).(5_000)
+  for i = 0 to Memo.max_entries - 1 do
+    ignore (blob i)
   done;
-  let s = Memo.stats () in
-  check "evictions happened" true (s.Memo.evictions > 0);
-  check "bytes within budget" true (s.Memo.bytes <= s.Memo.capacity_bytes);
-  check "entry count bounded by budget" true (s.Memo.entries <= 3);
-  (* the most recent key survived; the oldest was evicted long ago *)
   let s0 = Memo.stats () in
-  ignore (blob 9);
+  check_int "store is full" Memo.max_entries s0.Memo.entries;
+  check_int "blob 7 content" 7 (blob 7).(0);
   let s1 = Memo.stats () in
-  check_int "most-recent key hits" (s0.Memo.hits + 1) s1.Memo.hits;
-  ignore (blob 0);
+  check_int "a cached key hits" (s0.Memo.hits + 1) s1.Memo.hits;
+  ignore (blob Memo.max_entries);
   let s2 = Memo.stats () in
-  check_int "evicted key misses" (s1.Memo.misses + 1) s2.Memo.misses;
-  (* the hit above refreshed key 9's recency, so re-inserting key 0
-     evicted around it *)
+  check_int "one insert past the cap leaves one entry" 1 s2.Memo.entries;
+  check_int "the dropped entries count as evictions"
+    (s1.Memo.evictions + Memo.max_entries)
+    s2.Memo.evictions;
+  let before = !computed in
+  check_int "blob 0 content" 0 (blob 0).(0);
   let s3 = Memo.stats () in
-  ignore (blob 9);
-  check_int "recency refresh protected the hit key" (s3.Memo.hits + 1)
-    (Memo.stats ()).Memo.hits;
-  reset_cache ()
-
-let m_big = Memo.create ~name:"test.big" ~fp:(fun i -> FP.(empty |> int i))
-
-let test_oversized_value_not_cached () =
-  reset_cache ();
-  Memo.set_capacity_bytes 1024;
-  let produce () = Memo.find_or_compute m_big 1 (fun () -> Array.make 10_000 1) in
-  let s0 = Memo.stats () in
-  ignore (produce ());
-  ignore (produce ());
-  let s1 = Memo.stats () in
-  check_int "both lookups miss" (s0.Memo.misses + 2) s1.Memo.misses;
-  check "nothing was admitted over budget" true
-    (s1.Memo.bytes <= s1.Memo.capacity_bytes);
+  check_int "the first key misses" (s2.Memo.misses + 1) s3.Memo.misses;
+  check_int "and recomputes" (before + 1) !computed;
   reset_cache ()
 
 let test_disabled_is_inert () =
   reset_cache ();
   let s0 = Memo.stats () in
-  let v = Memo.with_disabled (fun () -> blob 42) in
+  let v = with_cache_off (fun () -> blob 42) in
   check_int "disabled produce runs" 42 v.(0);
   let s1 = Memo.stats () in
   check_int "no hits counted while disabled" s0.Memo.hits s1.Memo.hits;
@@ -183,10 +191,7 @@ let test_fp_framing () =
     "array length tag";
   ne FP.(empty |> int 1 |> int 2) FP.(empty |> int 2 |> int 1) "order matters";
   ne FP.(empty |> bool true) FP.(empty |> bool false) "bool tag";
-  ne FP.empty FP.(empty |> int 0) "empty vs zero";
-  check_int "hex digest width" 16 (String.length (FP.to_hex FP.empty));
-  check_int "hex digest width (nonempty)" 16
-    (String.length (FP.to_hex FP.(empty |> string "grid" |> int 7)))
+  ne FP.empty FP.(empty |> int 0) "empty vs zero"
 
 let test_fp_no_collisions_on_key_families () =
   let seen = Hashtbl.create 4096 in
@@ -243,10 +248,8 @@ let () =
           producer_cases );
       ( "bounds",
         [
-          Alcotest.test_case "LRU eviction under byte budget" `Quick
-            test_lru_eviction;
-          Alcotest.test_case "oversized values bypass the cache" `Quick
-            test_oversized_value_not_cached;
+          Alcotest.test_case "entry cap empties the store" `Quick
+            test_entry_cap;
           Alcotest.test_case "disabled cache is inert" `Quick
             test_disabled_is_inert;
         ] );

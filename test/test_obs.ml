@@ -643,7 +643,9 @@ let test_read_jsonl_skips_junk () =
    and the "instrumented run emits events" clause would fail for the wrong
    reason *)
 let quality_triple g =
-  Memo.with_disabled @@ fun () ->
+  let was = Memo.enabled () in
+  Memo.set_enabled false;
+  Fun.protect ~finally:(fun () -> Memo.set_enabled was) @@ fun () ->
   let tree = Spanning.bfs_tree g 0 in
   let parts = Shortcuts.Part.voronoi ~seed:3 g ~count:4 in
   let sc = Shortcuts.Generic.construct tree parts in
